@@ -156,7 +156,7 @@ fn generate(t: &Traffic, rate_hz: f64, seed: u64) -> Report {
 }
 
 pub fn run(args: &Args, process_start: Instant) -> Outcome {
-    let dep = deploy::serving(process_start, true);
+    let mut dep = deploy::serving(process_start, true);
     let t = Instant::now();
     let venues: Vec<String> = (0..VENUES).map(|v| format!("venue-{v:02}")).collect();
     let registry = Arc::new(ModelRegistry::new());
@@ -232,6 +232,7 @@ pub fn run(args: &Args, process_start: Instant) -> Outcome {
     let wire = server.stats();
     let serve_after = server.serve_stats();
     let prof_after = Prof::now();
+    dep.remeasure();
 
     let mut out = Outcome::new(r.sent, r.ok);
     out.checks.extend(dep.checks.iter().map(|&(n, v)| (n.to_string(), v)));

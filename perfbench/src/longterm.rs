@@ -16,7 +16,11 @@ use crate::stats::{median, sorted};
 use crate::{put_latency, Args, Outcome};
 
 /// Bucket walks after each fit.
-pub const WALKS_PER_CYCLE: usize = 8;
+pub const WALKS_PER_CYCLE: usize = 4;
+/// Cycles per run, however short the window: `fit_s` is the median of at
+/// least three ~7-s fits. One fit per run moved it by ~20 % between
+/// identical runs on a shared 2-vCPU host.
+pub const MIN_CYCLES: usize = 3;
 
 pub fn run(args: &Args, process_start: Instant) -> Outcome {
     let mut setup = Vec::new();
@@ -47,7 +51,6 @@ pub fn run(args: &Args, process_start: Instant) -> Outcome {
     let start = Instant::now();
     let window = args.window().as_secs_f64();
     let model = loop {
-        let cycle = Instant::now();
         let t = Instant::now();
         let mut fitted = builder.fit(&suite.train, DEPLOY_SEED);
         fits.push(t.elapsed().as_secs_f64());
@@ -64,8 +67,8 @@ pub fn run(args: &Args, process_start: Instant) -> Outcome {
             trajectory_ms.extend(w.per_trajectory_s.iter().map(|s| s * 1e3));
         }
         cycle_ms.push(sorted(&trajectory_ms));
-        // Start another cycle only if one more fits in the window.
-        if start.elapsed().as_secs_f64() + cycle.elapsed().as_secs_f64() > window {
+        // Start another cycle while the window is open.
+        if fits.len() >= MIN_CYCLES && start.elapsed().as_secs_f64() >= window {
             break fitted;
         }
     };

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use stats::{metrics_json, Metrics, Obj};
 
 /// Length of the slices whose medians the serving metrics report, s.
-pub const SLICE_S: f64 = 2.0;
+pub const SLICE_S: f64 = 1.0;
 
 pub const WORKLOADS: [&str; 3] = ["inproc_saturated", "fleet_16venue", "longterm_uji"];
 
@@ -128,8 +128,8 @@ impl Outcome {
         e.put("setup_s", setup_s, "s", deploy::SETUP_REPEATS as u64);
         e.put("ok_per_s", stats::median(&per_slice), "1/s", self.ok);
         e.put("ok_frac", self.ok as f64 / self.attempted.max(1) as f64, "ratio", self.attempted);
-        e.put("fit_s", dep.fit_s, "s", dep.fits);
-        e.put("eval_scans_per_s", dep.eval_scans_per_s, "1/s", dep.walks);
+        e.put("fit_s", dep.fit_s(), "s", dep.fits.len() as u64);
+        e.put("eval_scans_per_s", dep.eval_scans_per_s(), "1/s", dep.rates.len() as u64);
         e.put("mean_error_m", dep.mean_error_m, "m", dep.pool.len() as u64);
     }
 
