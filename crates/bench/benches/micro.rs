@@ -292,21 +292,6 @@ fn bench_serve_batching(c: &mut Criterion) {
         });
         server.shutdown();
     }
-
-    // The fixed cost a plain submit pays on every request to reach its
-    // venue's stats block — the `RwLock`-read + hash lookup + `Arc` clone
-    // that `ServerHandle::venue_handle` hoists to once per handle (the wire
-    // reader caches one handle per connection for exactly this reason).
-    // Constructing the handle is a slight overestimate of the per-request
-    // cost (it also clones the venue `String` and the `ServerHandle`), so
-    // the number read here bounds the per-request saving from above; the
-    // before/after story is in docs/PERFORMANCE.md.
-    let mut server = LocalizationServer::start(Arc::clone(&registry), ServerConfig::default());
-    let handle = server.handle();
-    c.bench_function("serve/venue_stats_lookup", |b| {
-        b.iter(|| black_box(handle.venue_handle(black_box("office"))))
-    });
-    server.shutdown();
 }
 
 fn bench_triplet_selection(c: &mut Criterion) {

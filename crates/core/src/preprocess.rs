@@ -59,11 +59,13 @@ impl ImageCodec {
         self.side * self.side
     }
 
-    /// Normalizes one RSSI value from `[-100, 0]` dBm to `[0, 1]`.
+    /// Normalizes one RSSI value from `[-100, 0]` dBm to `[0, 1]`. A
+    /// non-finite reading (NaN, ±∞) carries no signal and normalizes as a
+    /// missing AP (0.0): `f32::clamp` would pass NaN straight through.
     #[must_use]
     pub fn normalize(rssi_dbm: f32) -> f32 {
-        ((rssi_dbm.clamp(MISSING_RSSI_DBM, 0.0) - MISSING_RSSI_DBM) / -MISSING_RSSI_DBM)
-            .clamp(0.0, 1.0)
+        let dbm = if rssi_dbm.is_finite() { rssi_dbm } else { MISSING_RSSI_DBM };
+        ((dbm.clamp(MISSING_RSSI_DBM, 0.0) - MISSING_RSSI_DBM) / -MISSING_RSSI_DBM).clamp(0.0, 1.0)
     }
 
     /// Encodes one raw fingerprint into a normalized, padded image buffer of
@@ -134,6 +136,10 @@ mod tests {
         // Out-of-range values clamp.
         assert_eq!(ImageCodec::normalize(-120.0), 0.0);
         assert_eq!(ImageCodec::normalize(10.0), 1.0);
+        // Non-finite readings normalize as a missing AP.
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(ImageCodec::normalize(v).to_bits(), 0.0f32.to_bits(), "normalize({v})");
+        }
     }
 
     #[test]

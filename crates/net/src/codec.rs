@@ -15,24 +15,12 @@
 
 use std::time::Duration;
 
-/// Version byte this codec emits. Decoders accept the whole
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] range, so an upgraded
-/// server keeps talking to old clients: a v1 request simply carries no
-/// deadline (it decodes with `deadline_us == 0`), and the server echoes the
-/// **request's** version in its response so a v1 client never sees bytes it
-/// cannot parse. v2 added the `u32` deadline budget to requests and the
-/// [`WireStatus::DeadlineExceeded`] / [`WireStatus::Unavailable`] codes;
-/// when a response to a *v1* request would carry a status v1 cannot name,
-/// [`encode_response`] downgrades it to [`WireStatus::Internal`]
-/// (`DeadlineExceeded` cannot occur — a v1 request carries no deadline).
-/// v3 added the `u64` [`ScanRequest::trace_id`] (v1/v2 requests decode
-/// with `trace_id == 0`, untraced) and the admin frame kinds
-/// ([`encode_admin_request`] / [`encode_admin_chunks`]) that serve the
-/// wire-queryable telemetry.
+/// The one protocol version: every frame carries it, and the decoders
+/// reject any other version byte with [`WireError::BadVersion`] — a server
+/// answers such a frame with the [`WireStatus::Malformed`] goodbye and
+/// closes the connection. Every client lives in this repository, so the
+/// wire has no compatibility window to keep open.
 pub const PROTOCOL_VERSION: u8 = 3;
-
-/// Oldest protocol version the decoders still accept.
-pub const MIN_PROTOCOL_VERSION: u8 = 1;
 
 /// Hard cap on the declared payload length, in bytes. Anything larger is
 /// rejected before allocation (a generous bound: the largest legal request
@@ -77,17 +65,15 @@ pub struct ScanRequest {
     /// The RSSI vector, one entry per AP of the venue's universe.
     pub rssi: Vec<f32>,
     /// Deadline budget in microseconds, counted from the moment the server
-    /// decodes the request; **0 means no deadline** (and is what a v1 frame,
-    /// which has no field for it, decodes to). A request still queued when
-    /// its budget runs out is answered [`WireStatus::DeadlineExceeded`]
+    /// decodes the request; **0 means no deadline**. A request still queued
+    /// when its budget runs out is answered [`WireStatus::DeadlineExceeded`]
     /// without ever reaching the model. The `u32` range tops out around 71
     /// minutes — far past any sane queueing deadline.
     pub deadline_us: u32,
-    /// Tracing correlation ID (protocol v3); **0 means untraced** — and is
-    /// what a v1/v2 frame, which has no field for it, decodes to. A nonzero
-    /// ID is carried verbatim through the server's submit path, so the
-    /// stage spans recorded for this request (when server-side tracing is
-    /// enabled) can be joined with the client's own timings by ID.
+    /// Tracing correlation ID; **0 means untraced**. A nonzero ID is carried
+    /// verbatim through the server's submit path, so the stage spans
+    /// recorded for this request (when server-side tracing is enabled) can
+    /// be joined with the client's own timings by ID.
     pub trace_id: u64,
 }
 
@@ -127,14 +113,13 @@ pub enum WireStatus {
     Internal = 7,
     /// The request's deadline budget expired while it was still queued; it
     /// never reached the model. Only requests that carried a deadline
-    /// (protocol v2, `deadline_us > 0`) can receive this.
+    /// (`deadline_us > 0`) can receive this.
     DeadlineExceeded = 8,
     /// The venue's circuit breaker is open: recent batches for it kept
     /// failing, and the server fast-fails the venue without touching the
     /// model until a cooldown passes (rolling back to its last-good model
     /// meanwhile). Retryable — but give it longer than a [`WireStatus::Shed`]
-    /// retry. v2-only: in a response to a v1 request it is downgraded to
-    /// [`WireStatus::Internal`].
+    /// retry.
     Unavailable = 9,
 }
 
@@ -218,8 +203,7 @@ pub enum WireError {
         /// The declared length.
         declared: usize,
     },
-    /// The version byte is outside
-    /// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`].
+    /// The version byte is not [`PROTOCOL_VERSION`].
     BadVersion(u8),
     /// The kind byte is not a known message kind.
     BadKind(u8),
@@ -246,10 +230,7 @@ impl std::fmt::Display for WireError {
                 write!(f, "declared payload of {declared} B exceeds the {MAX_FRAME_LEN} B cap")
             }
             WireError::BadVersion(v) => {
-                write!(
-                    f,
-                    "protocol version {v} (supported: {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
-                )
+                write!(f, "protocol version {v} (supported: {PROTOCOL_VERSION})")
             }
             WireError::BadKind(k) => write!(f, "unknown message kind {k}"),
             WireError::BadStatus(s) => write!(f, "unknown status code {s}"),
@@ -321,8 +302,8 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn push_header(out: &mut Vec<u8>, version: u8, kind: u8, request_id: u64) {
-    out.extend_from_slice(&[version, kind]);
+fn push_header(out: &mut Vec<u8>, kind: u8, request_id: u64) {
+    out.extend_from_slice(&[PROTOCOL_VERSION, kind]);
     out.extend_from_slice(&request_id.to_le_bytes());
 }
 
@@ -334,43 +315,13 @@ fn seal(mut payload: Vec<u8>) -> Vec<u8> {
     payload
 }
 
-/// Encodes one request into a ready-to-send frame (length prefix included),
-/// as the current [`PROTOCOL_VERSION`].
+/// Encodes one request into a ready-to-send frame (length prefix included).
 ///
 /// # Errors
 ///
 /// [`WireError::VenueTooLong`] / [`WireError::TooManyAps`] when the request
 /// exceeds the wire caps — nothing is sent for such a request.
 pub fn encode_request(req: &ScanRequest) -> Result<Vec<u8>, WireError> {
-    encode_request_version(req, PROTOCOL_VERSION)
-}
-
-/// Encodes one request as a **v1** frame — what a not-yet-upgraded client
-/// on the old protocol emits. v1 has no deadline field, so the request's
-/// `deadline_us` is omitted (exactly as a real v1 client, which cannot
-/// express one); the compatibility suites use this to pin that an upgraded
-/// server still serves the old fleet.
-///
-/// # Errors
-///
-/// Same cap errors as [`encode_request`].
-pub fn encode_request_v1(req: &ScanRequest) -> Result<Vec<u8>, WireError> {
-    encode_request_version(req, 1)
-}
-
-/// Encodes one request as a **v2** frame — deadline but no trace ID, what
-/// the pre-observability fleet emits. The interop suites use this to pin
-/// that a v3 server still serves v2 clients (their requests simply decode
-/// untraced).
-///
-/// # Errors
-///
-/// Same cap errors as [`encode_request`].
-pub fn encode_request_v2(req: &ScanRequest) -> Result<Vec<u8>, WireError> {
-    encode_request_version(req, 2)
-}
-
-fn encode_request_version(req: &ScanRequest, version: u8) -> Result<Vec<u8>, WireError> {
     let venue = req.venue.as_bytes();
     if venue.len() > MAX_VENUE_LEN {
         return Err(WireError::VenueTooLong(venue.len()));
@@ -381,13 +332,9 @@ fn encode_request_version(req: &ScanRequest, version: u8) -> Result<Vec<u8>, Wir
     let mut out =
         Vec::with_capacity(4 + HEADER_LEN + 4 + 8 + 1 + venue.len() + 2 + 4 * req.rssi.len());
     out.extend_from_slice(&[0; 4]); // length backpatched by seal()
-    push_header(&mut out, version, KIND_REQUEST, req.request_id);
-    if version >= 2 {
-        out.extend_from_slice(&req.deadline_us.to_le_bytes());
-    }
-    if version >= 3 {
-        out.extend_from_slice(&req.trace_id.to_le_bytes());
-    }
+    push_header(&mut out, KIND_REQUEST, req.request_id);
+    out.extend_from_slice(&req.deadline_us.to_le_bytes());
+    out.extend_from_slice(&req.trace_id.to_le_bytes());
     out.push(venue.len() as u8);
     out.extend_from_slice(venue);
     out.extend_from_slice(&(req.rssi.len() as u16).to_le_bytes());
@@ -398,15 +345,12 @@ fn encode_request_version(req: &ScanRequest, version: u8) -> Result<Vec<u8>, Wir
 }
 
 /// Encodes one response into a ready-to-send frame (length prefix
-/// included). `version` is the protocol version **of the request being
-/// answered** — the server echoes it so a v1 client only ever receives v1
-/// bytes; statuses v1 cannot name ([`WireStatus::Unavailable`]) are
-/// downgraded to [`WireStatus::Internal`] in a v1 response.
+/// included).
 #[must_use]
-pub fn encode_response(resp: &ScanResponse, version: u8) -> Vec<u8> {
+pub fn encode_response(resp: &ScanResponse) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + HEADER_LEN + 1 + 24);
     out.extend_from_slice(&[0; 4]);
-    push_header(&mut out, version, KIND_RESPONSE, resp.request_id);
+    push_header(&mut out, KIND_RESPONSE, resp.request_id);
     match &resp.result {
         Ok(pos) => {
             out.push(0);
@@ -414,51 +358,40 @@ pub fn encode_response(resp: &ScanResponse, version: u8) -> Vec<u8> {
             out.extend_from_slice(&pos.y.to_le_bytes());
             out.extend_from_slice(&pos.model_version.to_le_bytes());
         }
-        Err(status) => {
-            let status = if version < 2 {
-                match status {
-                    // A v1 request cannot carry a deadline, so this arm is
-                    // effectively Unavailable-only; both downgrade rather
-                    // than ship a byte the old decoder rejects.
-                    WireStatus::DeadlineExceeded | WireStatus::Unavailable => WireStatus::Internal,
-                    s => *s,
-                }
-            } else {
-                *status
-            };
-            out.push(status as u8);
-        }
+        Err(status) => out.push(*status as u8),
     }
     seal(out)
 }
 
-/// Validates version + kind; returns the version and request id.
-fn decode_header(c: &mut Cursor<'_>, want_kind: u8) -> Result<(u8, u64), WireError> {
+/// Validates the version byte; returns the kind byte.
+fn decode_version_and_kind(c: &mut Cursor<'_>) -> Result<u8, WireError> {
     let version = c.u8()?;
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let kind = c.u8()?;
+    c.u8()
+}
+
+/// Validates version + kind; returns the request id.
+fn decode_header(c: &mut Cursor<'_>, want_kind: u8) -> Result<u64, WireError> {
+    let kind = decode_version_and_kind(c)?;
     if kind != want_kind {
         return Err(WireError::BadKind(kind));
     }
-    Ok((version, c.u64()?))
+    c.u64()
 }
 
 /// Decodes one request payload (the bytes *after* the length prefix).
-/// Accepts every supported protocol version; a v1 payload (no deadline
-/// field) decodes with `deadline_us == 0`. The returned version is what
-/// [`encode_response`] must echo when answering.
 ///
 /// # Errors
 ///
 /// A [`WireError`] describing the first malformation found; hostile input
 /// never panics and never allocates beyond the [`MAX_AP_COUNT`] cap.
-pub fn decode_request(payload: &[u8]) -> Result<(ScanRequest, u8), WireError> {
+pub fn decode_request(payload: &[u8]) -> Result<ScanRequest, WireError> {
     let mut c = Cursor { bytes: payload };
-    let (version, request_id) = decode_header(&mut c, KIND_REQUEST)?;
-    let deadline_us = if version >= 2 { c.u32()? } else { 0 };
-    let trace_id = if version >= 3 { c.u64()? } else { 0 };
+    let request_id = decode_header(&mut c, KIND_REQUEST)?;
+    let deadline_us = c.u32()?;
+    let trace_id = c.u64()?;
     let venue_len = c.u8()? as usize;
     let venue =
         std::str::from_utf8(c.take(venue_len)?).map_err(|_| WireError::BadVenueUtf8)?.to_string();
@@ -474,19 +407,17 @@ pub fn decode_request(payload: &[u8]) -> Result<(ScanRequest, u8), WireError> {
         rssi.push(c.f32()?);
     }
     c.finish()?;
-    Ok((ScanRequest { request_id, venue, rssi, deadline_us, trace_id }, version))
+    Ok(ScanRequest { request_id, venue, rssi, deadline_us, trace_id })
 }
 
 /// Decodes one response payload (the bytes *after* the length prefix).
-/// Accepts every supported protocol version (the response layout is
-/// identical in v1 and v2; only the status space grew).
 ///
 /// # Errors
 ///
 /// A [`WireError`] describing the first malformation found.
 pub fn decode_response(payload: &[u8]) -> Result<ScanResponse, WireError> {
     let mut c = Cursor { bytes: payload };
-    let (_version, request_id) = decode_header(&mut c, KIND_RESPONSE)?;
+    let request_id = decode_header(&mut c, KIND_RESPONSE)?;
     let status = c.u8()?;
     let result = if status == 0 {
         Ok(WirePosition { x: c.f64()?, y: c.f64()?, model_version: c.u64()? })
@@ -497,7 +428,7 @@ pub fn decode_response(payload: &[u8]) -> Result<ScanResponse, WireError> {
     Ok(ScanResponse { request_id, result })
 }
 
-/// Which admin surface a telemetry query asks for (protocol v3).
+/// Which admin surface a telemetry query asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdminQuery {
     /// Prometheus-style exposition text: the serve stats (aggregate and
@@ -525,8 +456,7 @@ pub struct AdminChunk {
     pub text: String,
 }
 
-/// Encodes an admin telemetry query (header-only payload, always the
-/// current protocol version — admin frames are v3-born).
+/// Encodes an admin telemetry query (header-only payload).
 #[must_use]
 pub fn encode_admin_request(query: AdminQuery, request_id: u64) -> Vec<u8> {
     let kind = match query {
@@ -535,7 +465,7 @@ pub fn encode_admin_request(query: AdminQuery, request_id: u64) -> Vec<u8> {
     };
     let mut out = Vec::with_capacity(4 + HEADER_LEN);
     out.extend_from_slice(&[0; 4]);
-    push_header(&mut out, PROTOCOL_VERSION, kind, request_id);
+    push_header(&mut out, kind, request_id);
     seal(out)
 }
 
@@ -547,11 +477,7 @@ pub fn encode_admin_request(query: AdminQuery, request_id: u64) -> Vec<u8> {
 /// usual header malformations.
 pub fn decode_admin_request(payload: &[u8]) -> Result<(AdminQuery, u64), WireError> {
     let mut c = Cursor { bytes: payload };
-    let version = c.u8()?;
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-        return Err(WireError::BadVersion(version));
-    }
-    let query = match c.u8()? {
+    let query = match decode_version_and_kind(&mut c)? {
         KIND_STATS_REQUEST => AdminQuery::Stats,
         KIND_TRACE_REQUEST => AdminQuery::Trace,
         k => return Err(WireError::BadKind(k)),
@@ -580,7 +506,7 @@ pub fn encode_admin_chunks(request_id: u64, text: &str) -> Vec<Vec<u8>> {
         let last = end == bytes.len();
         let mut out = Vec::with_capacity(4 + HEADER_LEN + 1 + (end - start));
         out.extend_from_slice(&[0; 4]);
-        push_header(&mut out, PROTOCOL_VERSION, KIND_ADMIN_CHUNK, request_id);
+        push_header(&mut out, KIND_ADMIN_CHUNK, request_id);
         out.push(u8::from(last));
         out.extend_from_slice(&bytes[start..end]);
         chunks.push(seal(out));
@@ -599,7 +525,7 @@ pub fn encode_admin_chunks(request_id: u64, text: &str) -> Vec<Vec<u8>> {
 /// plus the usual header malformations.
 pub fn decode_admin_chunk(payload: &[u8]) -> Result<AdminChunk, WireError> {
     let mut c = Cursor { bytes: payload };
-    let (_version, request_id) = decode_header(&mut c, KIND_ADMIN_CHUNK)?;
+    let request_id = decode_header(&mut c, KIND_ADMIN_CHUNK)?;
     let last = c.u8()? != 0;
     let text = std::str::from_utf8(c.rest()).map_err(|_| WireError::BadTextUtf8)?.to_string();
     Ok(AdminChunk { request_id, last, text })
@@ -692,8 +618,8 @@ mod tests {
     #[test]
     fn request_roundtrip_is_bit_exact() {
         let frame = encode_request(&req()).unwrap();
-        let (got, version) = decode_request(&frame[4..]).unwrap();
-        assert_eq!(version, PROTOCOL_VERSION);
+        assert_eq!(frame[4], PROTOCOL_VERSION);
+        let got = decode_request(&frame[4..]).unwrap();
         assert_eq!(got.request_id, 42);
         assert_eq!(got.venue, "office-east");
         assert_eq!(got.deadline_us, 2_500);
@@ -704,31 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_requests_still_decode_without_a_deadline() {
-        let frame = encode_request_v1(&req()).unwrap();
-        assert_eq!(frame[4], 1, "v1 frame carries version byte 1");
-        let (got, version) = decode_request(&frame[4..]).unwrap();
-        assert_eq!(version, 1);
-        assert_eq!(got.venue, "office-east");
-        assert_eq!(got.deadline_us, 0, "v1 has no deadline field");
-        assert_eq!(got.trace_id, 0, "v1 has no trace field");
-        // The v1 frame is exactly 12 bytes shorter: the missing deadline
-        // (4 B, v2) and trace id (8 B, v3).
-        assert_eq!(frame.len() + 4 + 8, encode_request(&req()).unwrap().len());
-    }
-
-    #[test]
-    fn v2_requests_decode_untraced() {
-        let frame = encode_request_v2(&req()).unwrap();
-        assert_eq!(frame[4], 2, "v2 frame carries version byte 2");
-        let (got, version) = decode_request(&frame[4..]).unwrap();
-        assert_eq!(version, 2);
-        assert_eq!(got.deadline_us, 2_500, "v2 keeps the deadline");
-        assert_eq!(got.trace_id, 0, "v2 has no trace field");
-        assert_eq!(frame.len() + 8, encode_request(&req()).unwrap().len());
-    }
-
-    #[test]
     fn response_roundtrips_both_arms() {
         let ok = ScanResponse {
             request_id: 7,
@@ -736,22 +637,9 @@ mod tests {
         };
         let err = ScanResponse { request_id: 8, result: Err(WireStatus::Shed) };
         for resp in [&ok, &err] {
-            for version in [1, PROTOCOL_VERSION] {
-                let frame = encode_response(resp, version);
-                assert_eq!(frame[4], version);
-                assert_eq!(&decode_response(&frame[4..]).unwrap(), resp);
-            }
-        }
-    }
-
-    #[test]
-    fn v2_only_statuses_downgrade_in_v1_responses() {
-        for status in [WireStatus::Unavailable, WireStatus::DeadlineExceeded] {
-            let resp = ScanResponse { request_id: 3, result: Err(status) };
-            let v1 = decode_response(&encode_response(&resp, 1)[4..]).unwrap();
-            assert_eq!(v1.result, Err(WireStatus::Internal), "{status:?} must downgrade in v1");
-            let v2 = decode_response(&encode_response(&resp, 2)[4..]).unwrap();
-            assert_eq!(v2.result, Err(status));
+            let frame = encode_response(resp);
+            assert_eq!(frame[4], PROTOCOL_VERSION);
+            assert_eq!(&decode_response(&frame[4..]).unwrap(), resp);
         }
     }
 
@@ -776,7 +664,7 @@ mod tests {
 
         // A forged payload declaring more APs than the cap.
         let mut payload = Vec::new();
-        push_header(&mut payload, PROTOCOL_VERSION, KIND_REQUEST, 1);
+        push_header(&mut payload, KIND_REQUEST, 1);
         payload.extend_from_slice(&0u32.to_le_bytes()); // no deadline
         payload.extend_from_slice(&0u64.to_le_bytes()); // untraced
         payload.push(0); // empty venue
@@ -794,7 +682,7 @@ mod tests {
         }
         fb.push_bytes(&frame[frame.len() - 1..]);
         let payload = fb.next_payload().unwrap().unwrap();
-        assert_eq!(decode_request(&payload).unwrap().0.venue, "office-east");
+        assert_eq!(decode_request(&payload).unwrap().venue, "office-east");
         assert_eq!(fb.pending_bytes(), 0);
     }
 
@@ -848,9 +736,17 @@ mod tests {
 
     #[test]
     fn wrong_version_and_kind_are_rejected() {
-        let mut frame = encode_request(&req()).unwrap();
-        frame[4] = 9;
-        assert_eq!(decode_request(&frame[4..]).unwrap_err(), WireError::BadVersion(9));
+        // Every version byte but the current one is rejected — the old v1
+        // and v2 included — on scan requests and admin queries alike.
+        for version in [0, 1, 2, 4, 9] {
+            let mut frame = encode_request(&req()).unwrap();
+            frame[4] = version;
+            assert_eq!(decode_request(&frame[4..]).unwrap_err(), WireError::BadVersion(version));
+            let mut frame = encode_admin_request(AdminQuery::Stats, 1);
+            frame[4] = version;
+            let err = decode_admin_request(&frame[4..]).unwrap_err();
+            assert_eq!(err, WireError::BadVersion(version));
+        }
         let mut frame = encode_request(&req()).unwrap();
         frame[5] = 77;
         assert_eq!(decode_request(&frame[4..]).unwrap_err(), WireError::BadKind(77));

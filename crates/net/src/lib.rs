@@ -7,10 +7,10 @@
 //!
 //! Three pieces:
 //!
-//! * [`codec`] — a length-prefixed, versioned binary protocol for scan
-//!   requests and position responses, with hard caps on frame size, venue
-//!   length and AP count enforced *before* any allocation. Hostile bytes
-//!   produce a [`WireError`], never a panic.
+//! * [`codec`] — a length-prefixed binary protocol for scan requests and
+//!   position responses, with one version byte ([`PROTOCOL_VERSION`]) and
+//!   hard caps on frame size, venue length and AP count enforced *before*
+//!   any allocation. Hostile bytes produce a [`WireError`], never a panic.
 //! * [`NetServer`] — an accept loop plus a reader/writer thread pair per
 //!   connection. Readers feed the inner server's bounded queue through the
 //!   fail-fast callback submit, so a full queue becomes a wire-visible
@@ -24,19 +24,19 @@
 //!   simulator runs on).
 //!
 //! A misbehaving connection — half-open, truncated mid-frame, dribbling
-//! bytes, sending garbage — affects only itself: the worst it gets is a
-//! [`WireStatus::Malformed`] goodbye and a close, while every other
-//! connection keeps being served (`tests/fault_injection.rs` pins this).
+//! bytes, sending garbage or another protocol version — affects only
+//! itself: the worst it gets is a [`WireStatus::Malformed`] goodbye and a
+//! close, while every other connection keeps being served
+//! (`tests/fault_injection.rs` pins this).
 //!
-//! Since PR 9 the wire carries the resilience contract end to end: protocol
-//! v2 requests hold a **deadline budget** (expired requests answer
-//! [`WireStatus::DeadlineExceeded`] without touching the model), servers
-//! answer v1 clients in v1 (see [`PROTOCOL_VERSION`] for the compatibility
-//! story), and [`NetClient`] can carry a [`RetryPolicy`] that retries only
-//! transient failures — sheds, a draining server, broken connections
-//! (reconnecting first) — with deterministic jittered backoff.
+//! The wire carries the resilience contract end to end: requests hold a
+//! **deadline budget** (expired requests answer
+//! [`WireStatus::DeadlineExceeded`] without touching the model), and
+//! [`NetClient`] can carry a [`RetryPolicy`] that retries only transient
+//! failures — sheds, a draining server, broken connections (reconnecting
+//! first) — with deterministic jittered backoff.
 //!
-//! Protocol v3 adds the observability surface: requests carry a **trace
+//! It carries the observability surface too: requests carry a **trace
 //! id** (0 = untraced) that rides through to the server's stage spans, and
 //! two header-only **admin queries** ([`codec::AdminQuery`]) answer with
 //! chunked text — [`NetClient::fetch_stats`] returns the full telemetry
@@ -57,7 +57,6 @@ mod server;
 pub use client::{ClientError, NetClient, RetryPolicy};
 pub use codec::{
     AdminChunk, AdminQuery, ScanRequest, ScanResponse, WireError, WirePosition, WireStatus,
-    MAX_ADMIN_TEXT_LEN, MAX_AP_COUNT, MAX_FRAME_LEN, MAX_VENUE_LEN, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    MAX_ADMIN_TEXT_LEN, MAX_AP_COUNT, MAX_FRAME_LEN, MAX_VENUE_LEN, PROTOCOL_VERSION,
 };
 pub use server::{NetServer, NetStatsSnapshot};

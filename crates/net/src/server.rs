@@ -12,7 +12,6 @@
 //! every connection (no new requests), answer everything already accepted,
 //! flush and half-close the write sides, join every thread.
 
-use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -22,7 +21,8 @@ use std::thread::JoinHandle;
 
 use stone_obs::metrics::{write_sample, write_type};
 use stone_serve::{
-    LocalizationServer, ModelRegistry, ServerConfig, ServerHandle, StatsSnapshot, VenueHandle,
+    LocalizationServer, LocateResponse, ModelRegistry, ServeError, ServerConfig, ServerHandle,
+    StatsSnapshot, Submit,
 };
 
 use crate::codec::{
@@ -32,7 +32,7 @@ use crate::codec::{
 
 /// Live wire-level counters of one [`NetServer`], shared across its
 /// connection threads (relaxed atomics — same recording discipline as
-/// `stone-serve`'s `ServerStats`).
+/// `stone-serve`'s per-venue counters).
 #[derive(Debug, Default)]
 struct NetStats {
     connections_accepted: AtomicU64,
@@ -92,9 +92,8 @@ struct NetShared {
 
 /// What a reader queues for its connection's writer thread.
 enum Outbound {
-    /// A scan answer, tagged with the protocol version of the request it
-    /// answers (the writer echoes it so a v1 client only sees v1 frames).
-    Response(u8, ScanResponse),
+    /// A scan answer.
+    Response(ScanResponse),
     /// An admin reply body; the writer chunks it
     /// ([`encode_admin_chunks`]) so chunks of one reply are contiguous on
     /// the wire however many queries race.
@@ -343,11 +342,6 @@ fn spawn_connection(stream: TcpStream, shared: &Arc<NetShared>) -> Conn {
     Conn { stream, reader: Some(reader), writer: Some(writer) }
 }
 
-/// Most venues one connection memoizes a [`VenueHandle`] for. Real
-/// connections talk to one venue (a phone is in one building); the cap
-/// just keeps a hostile client cycling venue names from growing the map.
-const VENUE_CACHE_CAP: usize = 64;
-
 /// Reads frames off one connection, routes them by kind — scan requests
 /// feed the server's bounded queue, admin queries are answered from the
 /// telemetry surfaces — and exits on EOF, read error, or an unparseable
@@ -355,10 +349,6 @@ const VENUE_CACHE_CAP: usize = 64;
 /// errors are not recoverable in-stream).
 fn reader_loop(stream: TcpStream, shared: &Arc<NetShared>, tx: &Sender<Outbound>) {
     let mut reader = BufReader::new(stream);
-    // Per-connection venue-handle cache: the first request for a venue
-    // pays the stats-map read lock, every later one records against the
-    // cached block lock-free (the satellite-1 hot path, wire side).
-    let mut venues: HashMap<String, VenueHandle> = HashMap::new();
     loop {
         let mut len_buf = [0u8; 4];
         if reader.read_exact(&mut len_buf).is_err() {
@@ -392,12 +382,11 @@ fn reader_loop(stream: TcpStream, shared: &Arc<NetShared>, tx: &Sender<Outbound>
             drop(tx.send(Outbound::Admin { request_id, text }));
             continue;
         }
-        let (req, version) = match decode_request(&payload) {
-            Ok(decoded) => decoded,
-            Err(_) => {
-                goodbye(shared, tx);
-                return;
-            }
+        // Any other protocol version fails here too (BadVersion): one
+        // goodbye and a close, like any other unparseable frame.
+        let Ok(req) = decode_request(&payload) else {
+            goodbye(shared, tx);
+            return;
         };
         shared.stats.requests_decoded.fetch_add(1, Ordering::Relaxed);
         let reply_tx = tx.clone();
@@ -407,7 +396,7 @@ fn reader_loop(stream: TcpStream, shared: &Arc<NetShared>, tx: &Sender<Outbound>
         // know the client's send instant); 0 on the wire means none.
         let deadline = (req.deadline_us > 0)
             .then(|| std::time::Duration::from_micros(u64::from(req.deadline_us)));
-        let reply = move |result: Result<stone_serve::LocateResponse, stone_serve::ServeError>| {
+        let reply = move |result: Result<LocateResponse, ServeError>| {
             let result = match result {
                 Ok(resp) => Ok(WirePosition {
                     x: resp.position.x,
@@ -423,32 +412,15 @@ fn reader_loop(stream: TcpStream, shared: &Arc<NetShared>, tx: &Sender<Outbound>
                 }
             };
             // The writer being gone (peer vanished) is not an error.
-            drop(reply_tx.send(Outbound::Response(version, ScanResponse { request_id, result })));
+            drop(reply_tx.send(Outbound::Response(ScanResponse { request_id, result })));
         };
-        // A v3 frame's trace id rides through to the executor's stage
-        // spans; 0 (or an older client) lets the server mint its own.
-        let submitted = match venues.get(&req.venue) {
-            Some(vh) => {
-                vh.try_submit_with_deadline_traced(&req.rssi, deadline, req.trace_id, reply)
-            }
-            None if venues.len() < VENUE_CACHE_CAP => {
-                let vh = shared.handle.venue_handle(&req.venue);
-                let r =
-                    vh.try_submit_with_deadline_traced(&req.rssi, deadline, req.trace_id, reply);
-                venues.insert(req.venue.clone(), vh);
-                r
-            }
-            None => shared.handle.try_submit_with_deadline_traced(
-                &req.venue,
-                &req.rssi,
-                deadline,
-                req.trace_id,
-                reply,
-            ),
-        };
-        // QueueFull was already answered through the callback (that is the
+        // The frame's trace id rides through to the executor's stage spans;
+        // 0 lets the server mint its own.
+        let submit =
+            Submit { venue: &req.venue, rssi: &req.rssi, deadline, trace_id: req.trace_id };
+        // A shed was already answered through the callback (that is the
         // wire-visible shed); only a draining server ends the read loop.
-        if matches!(submitted, Err(stone_serve::ServeError::ShuttingDown)) {
+        if let Err(ServeError::ShuttingDown) = shared.handle.try_submit_with(submit, reply) {
             return;
         }
     }
@@ -536,15 +508,11 @@ fn trace_text() -> String {
 }
 
 /// Queues the request-id-0 Malformed goodbye that precedes closing a
-/// desynchronized connection. Encoded as the oldest supported protocol
-/// version: a frame that failed to decode carries no trustworthy version
-/// byte, and every client version can parse a v1 response.
+/// desynchronized connection (or one speaking another protocol version).
 fn goodbye(shared: &NetShared, tx: &Sender<Outbound>) {
     shared.stats.malformed_frames.fetch_add(1, Ordering::Relaxed);
-    drop(tx.send(Outbound::Response(
-        crate::codec::MIN_PROTOCOL_VERSION,
-        ScanResponse { request_id: 0, result: Err(WireStatus::Malformed) },
-    )));
+    let goodbye = ScanResponse { request_id: 0, result: Err(WireStatus::Malformed) };
+    drop(tx.send(Outbound::Response(goodbye)));
 }
 
 /// Writes response frames in the order answers arrive (completion order),
@@ -568,8 +536,8 @@ fn writer_loop(stream: TcpStream, shared: &Arc<NetShared>, rx: &Receiver<Outboun
             Err(TryRecvError::Disconnected) => break,
         };
         match outbound {
-            Outbound::Response(version, resp) => {
-                if writer.write_all(&encode_response(&resp, version)).is_err() {
+            Outbound::Response(resp) => {
+                if writer.write_all(&encode_response(&resp)).is_err() {
                     break; // peer gone; pending callbacks tolerate the dead channel
                 }
                 shared.stats.responses_written.fetch_add(1, Ordering::Relaxed);

@@ -1,6 +1,6 @@
 //! The wire-queryable telemetry surface (PR 10): admin stats/trace
 //! queries answered over TCP, exposition text that round-trips through
-//! the strict parser, v3 trace ids carried from the client into the
+//! the strict parser, wire trace ids carried from the client into the
 //! server's stage spans, and a balanced span ledger.
 //!
 //! Tracing state is process-global, so this file holds a single test.

@@ -2,7 +2,8 @@
 //! server — one venue panics on its latest model, stalls are injected, a
 //! corrupt publish lands mid-run — and the contract holds:
 //!
-//! * zero executor / connection thread deaths (pinned via `/proc`);
+//! * zero executor / connection thread deaths, and no server thread left
+//!   after shutdown (pinned via `/proc`);
 //! * every failed request is wire-visible with a correct status from the
 //!   documented set — nothing hangs, nothing vanishes;
 //! * the panicking venue trips its breaker and rolls back to the last-good
@@ -42,9 +43,18 @@ fn thread_count() -> usize {
     0
 }
 
+/// Threads of this process other than the `stone-par` pool workers. The
+/// pool is process-lifetime and spawns lazily on the first parallel kernel
+/// (training the fixture model, say), so its workers belong to neither the
+/// idle baseline nor the server; every server and connection thread still
+/// counts.
+fn non_pool_threads() -> usize {
+    thread_count().saturating_sub(stone_par::pool_threads())
+}
+
 #[test]
 fn chaos_fleet_survives_with_wire_visible_failures() {
-    let idle_threads = thread_count();
+    let idle_threads = non_pool_threads();
 
     let suite = common::tiny_suite(31);
     let blob = common::tiny_localizer(&suite, 31).save();
@@ -91,7 +101,7 @@ fn chaos_fleet_survives_with_wire_visible_failures() {
             c
         })
         .collect();
-    let baseline = thread_count();
+    let baseline = non_pool_threads();
 
     // The fleet: every client mixes venues and deadline budgets; every
     // outcome must be an answer or a documented wire status.
@@ -163,7 +173,7 @@ fn chaos_fleet_survives_with_wire_visible_failures() {
     // Thread deaths are leaks in reverse: a panicking batch must not have
     // cost an executor, and no connection thread may have died (the fleet
     // connections are all still open).
-    assert_eq!(thread_count(), baseline, "an executor or connection thread died (or leaked)");
+    assert_eq!(non_pool_threads(), baseline, "an executor or connection thread died (or leaked)");
 
     // The flaky venue tripped, rolled back to last-good v1, and serves.
     assert_eq!(registry.snapshot("flaky").expect("still published").version(), 1);
@@ -193,9 +203,9 @@ fn chaos_fleet_survives_with_wire_visible_failures() {
     assert_eq!(ledger.requests_decoded, ledger.responses_written, "no request went unanswered");
 
     // Everything the front-end spawned is joined; only the harness threads
-    // that existed before the server remain.
+    // that existed before the server remain (plus the pool's workers).
     let deadline = std::time::Instant::now() + TIMEOUT;
-    while thread_count() > idle_threads {
+    while non_pool_threads() > idle_threads {
         assert!(std::time::Instant::now() < deadline, "server threads leaked past shutdown");
         std::thread::sleep(Duration::from_millis(2));
     }

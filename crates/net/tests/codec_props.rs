@@ -1,15 +1,15 @@
 //! Property tests for the wire codec (satellite 1): round-trips are
 //! bit-exact (including NaN RSSI payloads), and hostile bytes — truncated,
-//! oversized, wrong-version, or plain random — are rejected with a
-//! `WireError`, never a panic and never an oversized allocation.
+//! oversized, any version byte but the current one, or plain random — are
+//! rejected with a `WireError`, never a panic and never an oversized
+//! allocation.
 
 use proptest::prelude::*;
 use stone_net::codec::{
     decode_request, decode_response, encode_request, encode_response, FrameBuffer,
 };
 use stone_net::{
-    ScanRequest, ScanResponse, WireError, WirePosition, WireStatus, MAX_FRAME_LEN,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    ScanRequest, ScanResponse, WireError, WirePosition, WireStatus, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// Arbitrary request ids, venue names (0..=24 lowercase chars) and RSSI
@@ -77,8 +77,8 @@ proptest! {
     #[test]
     fn request_roundtrip_is_bit_exact(req in request_strategy()) {
         let frame = encode_request(&req).expect("within caps by construction");
-        let (got, version) = decode_request(&frame[4..]).expect("own encoding decodes");
-        prop_assert_eq!(version, PROTOCOL_VERSION);
+        prop_assert_eq!(frame[4], PROTOCOL_VERSION);
+        let got = decode_request(&frame[4..]).expect("own encoding decodes");
         prop_assert_eq!(got.request_id, req.request_id);
         prop_assert_eq!(got.deadline_us, req.deadline_us);
         prop_assert_eq!(got.trace_id, req.trace_id);
@@ -99,7 +99,7 @@ proptest! {
             Err(STATUSES[(rng.next() % 9) as usize])
         };
         let resp = ScanResponse { request_id: rng.next_u64(), result };
-        let frame = encode_response(&resp, PROTOCOL_VERSION);
+        let frame = encode_response(&resp);
         let got = decode_response(&frame[4..]).expect("own encoding decodes");
         prop_assert_eq!(got.request_id, resp.request_id);
         match (got.result, resp.result) {
@@ -153,10 +153,10 @@ proptest! {
         // byte per read) yields the same payload sequence.
         let mut rng = sample_rng(seed);
         let mut stream = encode_request(&req).expect("within caps");
-        stream.extend_from_slice(&encode_response(
-            &ScanResponse { request_id: req.request_id, result: Err(WireStatus::Shed) },
-            PROTOCOL_VERSION,
-        ));
+        stream.extend_from_slice(&encode_response(&ScanResponse {
+            request_id: req.request_id,
+            result: Err(WireStatus::Shed),
+        }));
         let mut fb = FrameBuffer::new();
         let mut payloads = Vec::new();
         let mut rest = &stream[..];
@@ -170,7 +170,7 @@ proptest! {
             }
         }
         prop_assert_eq!(payloads.len(), 2);
-        let (got, _) = decode_request(&payloads[0]).expect("request arrives intact");
+        let got = decode_request(&payloads[0]).expect("request arrives intact");
         prop_assert_eq!(bits(&got.rssi), bits(&req.rssi));
         prop_assert_eq!(
             decode_response(&payloads[1]).expect("response arrives intact").result,
@@ -182,14 +182,10 @@ proptest! {
     #[test]
     fn corrupted_header_bytes_are_rejected(req in request_strategy(), tweak in any::<u32>()) {
         let mut frame = encode_request(&req).expect("within caps");
-        // Corrupt the version byte to anything *outside* the accepted
-        // [MIN_PROTOCOL_VERSION, PROTOCOL_VERSION] range.
-        let bad_version = {
-            let mut v = (tweak & 0xff) as u8;
-            while (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&v) {
-                v = v.wrapping_add(3);
-            }
-            v
+        // Corrupt the version byte to anything but PROTOCOL_VERSION.
+        let bad_version = match (tweak & 0xff) as u8 {
+            PROTOCOL_VERSION => PROTOCOL_VERSION ^ 0x80,
+            v => v,
         };
         frame[4] = bad_version;
         prop_assert_eq!(

@@ -1,6 +1,7 @@
 //! Fault-injection suite (satellite 2): hostile and broken connections —
-//! half-open peers, mid-frame disconnects, garbage preambles, one-byte
-//! dribblers — must each affect only themselves. Throughout, a well-behaved
+//! half-open peers, mid-frame disconnects, garbage preambles, clients on an
+//! old protocol version, one-byte dribblers — must each affect only
+//! themselves. Throughout, a well-behaved
 //! client keeps getting answers that are bitwise equal to direct in-process
 //! `locate` calls, and the wire counters account for every event exactly.
 
@@ -23,6 +24,26 @@ fn poll_until(mut cond: impl FnMut() -> bool, what: &str) {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// A scan request frame in the layout of protocol v1 (no deadline, no
+/// trace id) or v2 (deadline, no trace id) — what a client built before the
+/// wire settled on one version would send.
+fn old_request_frame(version: u8, venue: &str, rssi: &[f32]) -> Vec<u8> {
+    let mut payload = vec![version, 1];
+    payload.extend_from_slice(&7u64.to_le_bytes());
+    if version == 2 {
+        payload.extend_from_slice(&0u32.to_le_bytes());
+    }
+    payload.push(venue.len() as u8);
+    payload.extend_from_slice(venue.as_bytes());
+    payload.extend_from_slice(&(rssi.len() as u16).to_le_bytes());
+    for v in rssi {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    frame
 }
 
 #[test]
@@ -60,27 +81,34 @@ fn faulty_connections_only_hurt_themselves() {
         s.write_all(&[0u8; 10]).expect("partial payload");
     } // dropped here: RST/FIN mid-frame
 
-    // Fault 3: a garbage preamble — an HTTP request, say. The first four
-    // bytes read as a ~540 MB declared length, so the server answers with
-    // the request-id-0 Malformed goodbye and closes without allocating.
-    let mut garbage = TcpStream::connect(addr).expect("garbage connect");
-    garbage.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
-    garbage.write_all(b"GET /locate HTTP/1.1\r\n\r\n").expect("garbage bytes");
-    {
+    // Fault 3: bytes that never parse as a current frame — a garbage
+    // preamble (an HTTP request, say: the first four bytes read as a
+    // ~540 MB declared length, rejected without allocating), and requests
+    // from protocol v1 and v2 clients. Each connection gets the
+    // request-id-0 Malformed goodbye, then the server closes it.
+    let hostile = [
+        b"GET /locate HTTP/1.1\r\n\r\n".to_vec(),
+        old_request_frame(1, "office", &scans[0]),
+        old_request_frame(2, "office", &scans[0]),
+    ];
+    for bytes in hostile {
+        let mut conn = TcpStream::connect(addr).expect("hostile connect");
+        conn.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
+        conn.write_all(&bytes).expect("hostile bytes");
         let mut frames = FrameBuffer::new();
         let mut buf = [0u8; 256];
         let goodbye = loop {
             if let Some(payload) = frames.next_payload().expect("well-formed goodbye") {
                 break decode_response(&payload).expect("goodbye decodes");
             }
-            let n = garbage.read(&mut buf).expect("read goodbye");
+            let n = conn.read(&mut buf).expect("read goodbye");
             assert!(n > 0, "EOF before the Malformed goodbye");
             frames.push_bytes(&buf[..n]);
         };
         assert_eq!(goodbye.request_id, 0);
         assert_eq!(goodbye.result, Err(WireStatus::Malformed));
         // After the goodbye the server closes the connection.
-        poll_until(|| garbage.read(&mut buf).map(|n| n == 0).unwrap_or(true), "garbage conn EOF");
+        poll_until(|| conn.read(&mut buf).map(|n| n == 0).unwrap_or(true), "hostile conn EOF");
     }
 
     // Fault 4: a dribbler — a perfectly valid frame delivered one byte at a
@@ -144,19 +172,23 @@ fn faulty_connections_only_hurt_themselves() {
     let pos = client.locate("office", &scans[0]).expect("still serving after status errors");
     assert_eq!(pos.model_version, snapshot.version());
 
-    // The two broken connections (mid-frame, garbage) have fully closed by
-    // now; the half-open one and the good client are still up.
-    poll_until(|| server.stats().connections_closed >= 3, "faulty conns torn down");
+    // The broken connections (mid-frame, the three hostile ones, the
+    // dribbler) have fully closed by now; the half-open one and the good
+    // client are still up.
+    poll_until(|| server.stats().connections_closed >= 5, "faulty conns torn down");
 
     let live = server.stats();
-    assert_eq!(live.connections_accepted, 5, "half-open + mid-frame + garbage + dribble + good");
-    assert_eq!(live.malformed_frames, 1, "only the garbage preamble is provably malformed");
+    assert_eq!(
+        live.connections_accepted, 7,
+        "half-open + mid-frame + garbage + v1 + v2 + dribble + good"
+    );
+    assert_eq!(live.malformed_frames, 3, "garbage, v1 and v2 are provably malformed");
     // 8 good locates + unknown-venue + mismatch + 1 retry + 1 dribble.
     assert_eq!(live.requests_decoded, 12);
     assert_eq!(live.shed, 0, "nothing overflowed the queue in this scenario");
 
     let final_stats = server.shutdown();
     drop(half_open);
-    assert_eq!(final_stats.connections_closed, 5, "every connection torn down on drain");
-    assert_eq!(final_stats.responses_written, 13, "12 answers + 1 malformed goodbye");
+    assert_eq!(final_stats.connections_closed, 7, "every connection torn down on drain");
+    assert_eq!(final_stats.responses_written, 15, "12 answers + 3 malformed goodbyes");
 }

@@ -1,6 +1,5 @@
-//! Wire-level resilience (PR 9): deadline budgets ride the v2 protocol and
-//! expire server-side as wire-visible `DeadlineExceeded`; v1 clients keep
-//! working against a v2 server (answered in v1); the client retry policy
+//! Wire-level resilience (PR 9): deadline budgets ride the wire and expire
+//! server-side as wire-visible `DeadlineExceeded`; the client retry policy
 //! retries sheds with jittered backoff, reconnects through dropped
 //! connections, refuses to retry terminal statuses, and gives up cleanly
 //! when the server is gone; and `NetServer::shutdown` is idempotent,
@@ -8,14 +7,10 @@
 
 mod common;
 
-use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-use stone_net::codec::{decode_response, encode_request_v1, FrameBuffer};
-use stone_net::{
-    ClientError, NetClient, NetServer, RetryPolicy, ScanRequest, WireStatus, MIN_PROTOCOL_VERSION,
-};
+use stone_net::{ClientError, NetClient, NetServer, RetryPolicy, WireStatus};
 use stone_par::with_threads;
 use stone_serve::{LocalizationServer, ServerConfig};
 
@@ -25,7 +20,7 @@ fn quick_config() -> ServerConfig {
     ServerConfig { max_batch: 16, max_wait: Duration::ZERO, ..ServerConfig::default() }
 }
 
-/// A v2 request's deadline budget is honored end to end: queued past its
+/// A request's deadline budget is honored end to end: queued past its
 /// budget on a paused server, it comes back `DeadlineExceeded` while an
 /// unbudgeted request submitted alongside it is answered. Pinned across
 /// `STONE_THREADS` ∈ {1, 2, 8}.
@@ -62,45 +57,6 @@ fn wire_deadline_budget_expires_server_side() {
             server.shutdown();
         });
     }
-}
-
-/// A protocol-v1 client (no deadline field) still gets served by a v2
-/// server — and is answered in v1, its own version.
-#[test]
-fn v1_clients_interoperate_with_v2_server() {
-    let (registry, suite) = common::office_registry(22);
-    let scan = suite.train.records()[0].rssi.clone();
-    let mut server =
-        NetServer::start(registry, "127.0.0.1:0", quick_config()).expect("bind ephemeral port");
-
-    let frame = encode_request_v1(&ScanRequest {
-        request_id: 7,
-        deadline_us: 0, // not on the v1 wire
-        trace_id: 0,    // nor this
-        venue: "office".into(),
-        rssi: scan,
-    })
-    .expect("within caps");
-
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream.set_read_timeout(Some(TIMEOUT)).expect("read timeout");
-    stream.write_all(&frame).expect("send v1 frame");
-
-    let mut fb = FrameBuffer::new();
-    let mut buf = [0u8; 4096];
-    let payload = loop {
-        if let Some(p) = fb.next_payload().expect("well-formed response stream") {
-            break p;
-        }
-        let n = stream.read(&mut buf).expect("read");
-        assert!(n > 0, "server closed before answering");
-        fb.push_bytes(&buf[..n]);
-    };
-    assert_eq!(payload[0], MIN_PROTOCOL_VERSION, "v1 requests are answered in v1");
-    let resp = decode_response(&payload).expect("decodes");
-    assert_eq!(resp.request_id, 7);
-    assert!(resp.result.is_ok(), "v1 request is served");
-    server.shutdown();
 }
 
 /// A shed (`WireStatus::Shed`) is transient: the retry policy backs off

@@ -26,27 +26,13 @@
 //! * **HalfOpen** — batches execute as *probes*: the first success closes
 //!   the breaker, the first failure reopens it for another cooldown.
 //!
-//! The state machine is per venue behind a tiny mutex taken once per
-//! *batch* (never per request), so it costs nothing on the request hot
-//! path. A threshold of 0 disables the breaker entirely.
+//! Each venue's breaker lives in its entry of the queue's venue table and
+//! travels to the executor with the venue's batch, so the state machine
+//! costs one tiny mutex per *batch* (never per request) and no lookup at
+//! all. A threshold of 0 disables the breaker entirely.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// What the breaker decided for the batch about to execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Admit {
-    /// Run the batch. `probe` marks a half-open trial whose outcome decides
-    /// whether the breaker re-closes or re-opens.
-    Execute {
-        /// True when this batch is a half-open probe.
-        probe: bool,
-    },
-    /// The breaker is open: fail the whole batch without touching the
-    /// model.
-    FastFail,
-}
 
 #[derive(Debug)]
 enum State {
@@ -56,8 +42,7 @@ enum State {
 }
 
 /// A venue breaker's position in the state machine, as reported by
-/// `BreakerSet::snapshot_states` (crate-private) — the read-only view the
-/// admin/stats surfaces expose via `ServerHandle::breaker_states`.
+/// [`crate::ServerHandle::breaker_states`] for the admin surfaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Batches execute normally.
@@ -93,121 +78,91 @@ impl std::fmt::Display for BreakerState {
     }
 }
 
-/// The per-venue breaker map of one server.
+/// One venue's circuit breaker.
 #[derive(Debug)]
-pub(crate) struct BreakerSet {
+pub(crate) struct Breaker {
     /// Consecutive batch failures that trip a closed breaker; 0 disables.
     threshold: u32,
     /// How long an open breaker fast-fails before probing again.
     cooldown: Duration,
-    venues: RwLock<HashMap<String, Arc<Mutex<State>>>>,
+    state: Mutex<State>,
 }
 
-impl BreakerSet {
+impl Breaker {
     pub(crate) fn new(threshold: u32, cooldown: Duration) -> Self {
-        Self { threshold, cooldown, venues: RwLock::new(HashMap::new()) }
+        Self { threshold, cooldown, state: Mutex::new(State::Closed { consecutive_failures: 0 }) }
     }
 
-    /// The venue's breaker cell, created Closed on first touch.
-    fn slot(&self, venue: &str) -> Arc<Mutex<State>> {
-        if let Some(s) = self.venues.read().unwrap_or_else(|e| e.into_inner()).get(venue) {
-            return Arc::clone(s);
-        }
-        let mut venues = self.venues.write().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            venues
-                .entry(venue.to_string())
-                .or_insert_with(|| Arc::new(Mutex::new(State::Closed { consecutive_failures: 0 }))),
-        )
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Gate for one batch about to execute for `venue`.
-    pub(crate) fn admit(&self, venue: &str) -> Admit {
+    /// Gate for one batch about to execute: `false` means the breaker is
+    /// open and the whole batch fast-fails without touching the model. An
+    /// open breaker past its cooldown turns half-open here and admits the
+    /// batch as its probe.
+    pub(crate) fn admit(&self) -> bool {
         if self.threshold == 0 {
-            return Admit::Execute { probe: false };
+            return true;
         }
-        let slot = self.slot(venue);
-        let mut state = slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.lock();
         match *state {
-            State::Closed { .. } => Admit::Execute { probe: false },
-            State::Open { until } => {
-                if Instant::now() >= until {
-                    *state = State::HalfOpen;
-                    Admit::Execute { probe: true }
-                } else {
-                    Admit::FastFail
-                }
+            State::Open { until } if Instant::now() < until => false,
+            State::Open { .. } => {
+                *state = State::HalfOpen;
+                true
             }
-            State::HalfOpen => Admit::Execute { probe: true },
+            State::Closed { .. } | State::HalfOpen => true,
         }
     }
 
     /// Records a batch whose model call completed without panicking.
-    pub(crate) fn record_success(&self, venue: &str) {
-        if self.threshold == 0 {
-            return;
+    pub(crate) fn record_success(&self) {
+        if self.threshold != 0 {
+            *self.lock() = State::Closed { consecutive_failures: 0 };
         }
-        let slot = self.slot(venue);
-        let mut state = slot.lock().unwrap_or_else(|e| e.into_inner());
-        *state = State::Closed { consecutive_failures: 0 };
     }
 
     /// Records a panicked batch; returns `true` when this failure
     /// transitioned the breaker to Open (the moment the scheduler rolls the
     /// venue back to its last-good model).
-    pub(crate) fn record_failure(&self, venue: &str) -> bool {
+    pub(crate) fn record_failure(&self) -> bool {
         if self.threshold == 0 {
             return false;
         }
-        let slot = self.slot(venue);
-        let mut state = slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.lock();
+        let open = State::Open { until: Instant::now() + self.cooldown };
         match *state {
             State::Closed { consecutive_failures } => {
                 let failures = consecutive_failures + 1;
-                if failures >= self.threshold {
-                    *state = State::Open { until: Instant::now() + self.cooldown };
-                    true
-                } else {
-                    *state = State::Closed { consecutive_failures: failures };
-                    false
-                }
+                let trips = failures >= self.threshold;
+                *state =
+                    if trips { open } else { State::Closed { consecutive_failures: failures } };
+                trips
             }
             // A failed probe reopens for another full cooldown.
             State::HalfOpen => {
-                *state = State::Open { until: Instant::now() + self.cooldown };
+                *state = open;
                 true
             }
             // Fast-failed batches never reach record_failure; a failure
             // while already Open (racing executors) just restarts the
             // cooldown without counting as a fresh trip.
             State::Open { .. } => {
-                *state = State::Open { until: Instant::now() + self.cooldown };
+                *state = open;
                 false
             }
         }
     }
 
-    /// The current state of every venue breaker, sorted by venue name — a
-    /// pure observation (no lazy Open→HalfOpen transition is applied; that
-    /// belongs to batch admission). Venues never touched by a batch are
-    /// absent.
-    pub(crate) fn snapshot_states(&self) -> Vec<(String, BreakerState)> {
-        let mut out: Vec<(String, BreakerState)> = self
-            .venues
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(venue, slot)| {
-                let state = match *slot.lock().unwrap_or_else(|e| e.into_inner()) {
-                    State::Closed { .. } => BreakerState::Closed,
-                    State::Open { .. } => BreakerState::Open,
-                    State::HalfOpen => BreakerState::HalfOpen,
-                };
-                (venue.clone(), state)
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+    /// The current state — a pure observation: no lazy Open→HalfOpen
+    /// transition is applied (that belongs to batch admission).
+    pub(crate) fn state(&self) -> BreakerState {
+        match *self.lock() {
+            State::Closed { .. } => BreakerState::Closed,
+            State::Open { .. } => BreakerState::Open,
+            State::HalfOpen => BreakerState::HalfOpen,
+        }
     }
 }
 
@@ -217,70 +172,61 @@ mod tests {
 
     #[test]
     fn trips_after_threshold_and_recovers_through_half_open() {
-        let set = BreakerSet::new(2, Duration::from_millis(20));
-        assert_eq!(set.admit("v"), Admit::Execute { probe: false });
-        assert!(!set.record_failure("v"), "first failure must not trip");
-        assert_eq!(set.admit("v"), Admit::Execute { probe: false });
-        assert!(set.record_failure("v"), "second failure trips");
-        assert_eq!(set.admit("v"), Admit::FastFail);
+        let b = Breaker::new(2, Duration::from_millis(20));
+        assert!(b.admit());
+        assert!(!b.record_failure(), "first failure must not trip");
+        assert!(b.admit());
+        assert!(b.record_failure(), "second failure trips");
+        assert!(!b.admit());
         std::thread::sleep(Duration::from_millis(25));
-        assert_eq!(set.admit("v"), Admit::Execute { probe: true });
-        set.record_success("v");
-        assert_eq!(set.admit("v"), Admit::Execute { probe: false });
+        assert!(b.admit(), "cooldown over: the probe is admitted");
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        b.record_success();
+        assert_eq!(b.state(), BreakerState::Closed);
+        assert!(b.admit());
     }
 
     #[test]
     fn failed_probe_reopens_for_another_cooldown() {
-        let set = BreakerSet::new(1, Duration::from_millis(15));
-        assert!(set.record_failure("v"));
+        let b = Breaker::new(1, Duration::from_millis(15));
+        assert!(b.record_failure());
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(set.admit("v"), Admit::Execute { probe: true });
-        assert!(set.record_failure("v"), "failed probe re-trips");
-        assert_eq!(set.admit("v"), Admit::FastFail);
+        assert!(b.admit());
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert!(b.record_failure(), "failed probe re-trips");
+        assert!(!b.admit());
     }
 
     #[test]
     fn success_resets_the_consecutive_count() {
-        let set = BreakerSet::new(2, Duration::from_millis(10));
-        assert!(!set.record_failure("v"));
-        set.record_success("v");
-        assert!(!set.record_failure("v"), "count restarted after a success");
-        assert!(set.record_failure("v"));
+        let b = Breaker::new(2, Duration::from_millis(10));
+        assert!(!b.record_failure());
+        b.record_success();
+        assert!(!b.record_failure(), "count restarted after a success");
+        assert!(b.record_failure());
     }
 
     #[test]
     fn zero_threshold_disables_the_breaker() {
-        let set = BreakerSet::new(0, Duration::from_millis(10));
+        let b = Breaker::new(0, Duration::from_millis(10));
         for _ in 0..10 {
-            assert!(!set.record_failure("v"));
+            assert!(!b.record_failure());
         }
-        assert_eq!(set.admit("v"), Admit::Execute { probe: false });
+        assert!(b.admit());
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]
-    fn snapshot_states_observe_without_transitioning() {
-        let set = BreakerSet::new(1, Duration::from_millis(10));
-        assert!(set.snapshot_states().is_empty());
-        set.admit("ok");
-        assert!(set.record_failure("bad"));
-        let states = set.snapshot_states();
-        assert_eq!(
-            states,
-            vec![("bad".to_string(), BreakerState::Open), ("ok".to_string(), BreakerState::Closed)]
-        );
+    fn state_observes_without_transitioning() {
+        let b = Breaker::new(1, Duration::from_millis(10));
+        assert_eq!(b.state(), BreakerState::Closed, "a fresh breaker reads Closed");
+        assert!(b.record_failure());
+        assert_eq!(b.state(), BreakerState::Open);
         std::thread::sleep(Duration::from_millis(15));
         // Observation alone never flips Open→HalfOpen, even past cooldown…
-        assert_eq!(set.snapshot_states()[0].1, BreakerState::Open);
+        assert_eq!(b.state(), BreakerState::Open);
         // …the next batch admission does.
-        assert_eq!(set.admit("bad"), Admit::Execute { probe: true });
-        assert_eq!(set.snapshot_states()[0].1, BreakerState::HalfOpen);
-    }
-
-    #[test]
-    fn breakers_are_per_venue() {
-        let set = BreakerSet::new(1, Duration::from_secs(60));
-        assert!(set.record_failure("bad"));
-        assert_eq!(set.admit("bad"), Admit::FastFail);
-        assert_eq!(set.admit("good"), Admit::Execute { probe: false });
+        assert!(b.admit());
+        assert_eq!(b.state(), BreakerState::HalfOpen);
     }
 }

@@ -29,11 +29,20 @@
 //!   ([`ModelRegistry::publish_bytes`]).
 //! * [`StatsSnapshot`] — queue depth, a batch-size histogram (the direct
 //!   observability of coalescing) and p50/p99 enqueue→reply latency
-//!   (rank-interpolated within power-of-two buckets), in aggregate and
-//!   broken down per venue ([`VenueStatsSnapshot`], which also splits
-//!   shed-by-global-capacity from shed-by-venue-cap). Snapshots render as
+//!   (rank-interpolated within power-of-two buckets), per venue
+//!   ([`VenueStatsSnapshot`], which also splits shed-by-global-capacity
+//!   from shed-by-venue-cap) and summed across venues. Snapshots render as
 //!   Prometheus-style text ([`StatsSnapshot::exposition`]) for the wire
 //!   admin endpoint.
+//!
+//! Clients reach the server through [`ServerHandle`]: [`ServerHandle::submit`]
+//! blocks while the queue is full and returns a ticket,
+//! [`ServerHandle::try_submit_with`] takes a [`Submit`] (venue, scan,
+//! optional deadline and trace ID) and sheds instead of blocking, answering
+//! through a callback, and [`ServerHandle::locate`] is submit-and-wait.
+//! The queue's shards double as the **venue table**: each venue's counters
+//! and circuit breaker live in its shard and travel to the executor with
+//! its batch.
 //!
 //! # Observability
 //!
@@ -42,10 +51,9 @@
 //! ([`stone_obs::set_tracing`]) each answered request records five
 //! contiguous stage spans — queue wait, collect, snapshot, infer,
 //! write-back — whose durations sum to its end-to-end latency. Hot-path
-//! cost when disabled is one relaxed atomic load per request. Callers that
-//! hammer one venue should use [`ServerHandle::venue_handle`] to skip the
-//! per-request stats-map read lock, and [`ServerHandle::breaker_states`]
-//! exposes each venue's [`BreakerState`] for the admin surfaces.
+//! cost when disabled is one relaxed atomic load per request.
+//! [`ServerHandle::breaker_states`] exposes each venue's [`BreakerState`]
+//! for the admin surfaces.
 //!
 //! # Resilience
 //!
@@ -111,7 +119,7 @@ pub use chaos::{corrupt_blob, ChaosConfig, ChaosFault, ChaosRule};
 pub use registry::{ModelEntry, ModelRegistry};
 pub use server::{
     LocalizationServer, LocateResponse, PendingLocate, ServeError, ServerConfig, ServerHandle,
-    VenueHandle,
+    Submit,
 };
 pub use stats::{StatsSnapshot, VenueStatsSnapshot};
 

@@ -16,62 +16,50 @@
 //! instead of fragmenting a mixed drain into per-venue slivers (the
 //! 16-venue regression of docs/PERFORMANCE.md).
 //!
+//! The shards are also the server's **venue table**: each one holds its
+//! venue's [`VenueStats`] counters and circuit [`Breaker`], and a batch
+//! carries them to the executor. The shard lookup `push` does under the
+//! queue lock is therefore the only per-request venue lookup, and enqueues
+//! and sheds are counted under that lock, exactly when they happen.
+//!
 //! Pause (`start_paused`) and close (shutdown) live here too: a paused
 //! queue accepts up to capacity but hands out nothing; a closed queue
 //! refuses pushes while `collect` keeps handing out batches until empty —
 //! the drain that answers everything accepted.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::server::{LocateResponse, ServeError};
+use crate::breaker::Breaker;
+use crate::server::{LocateResponse, ServeError, ServerConfig};
+use crate::stats::VenueStats;
 
-/// How a request's answer travels back to whoever submitted it.
-pub(crate) enum Reply {
-    /// In-process submit: the sending half of a [`crate::PendingLocate`]
-    /// ticket.
-    Channel(mpsc::Sender<Result<LocateResponse, ServeError>>),
-    /// Callback submit ([`crate::ServerHandle::try_submit_with`]): invoked
-    /// exactly once from the executor thread — the wire front-end path,
-    /// where the callback enqueues a response frame on the connection's
-    /// writer.
-    Callback(ReplyCallback),
-}
-
-impl Reply {
-    pub(crate) fn send(self, result: Result<LocateResponse, ServeError>) {
-        match self {
-            // A client that gave up and dropped its ticket is not an error.
-            Reply::Channel(tx) => drop(tx.send(result)),
-            Reply::Callback(cb) => cb.call(result),
-        }
-    }
-}
-
-/// The boxed form of a [`crate::ServerHandle::try_submit_with`] callback.
+/// The boxed form of a reply callback.
 type BoxedReply = Box<dyn FnOnce(Result<LocateResponse, ServeError>) + Send>;
 
-/// An exactly-once reply callback with a drop guarantee: if the server ever
-/// drops a request without answering it (torn down mid-flight), the callback
-/// still fires with [`ServeError::ShuttingDown`], so a wire front-end can
-/// always send *some* response frame and its writer never hangs.
-pub(crate) struct ReplyCallback(Option<BoxedReply>);
+/// How a request's answer travels back to whoever submitted it: a callback
+/// invoked exactly once, from the executor thread or inline when a submit
+/// is refused. A [`crate::PendingLocate`] ticket is a callback that sends
+/// into the ticket's channel. If the server ever drops a request without
+/// answering it (torn down mid-flight), the callback still fires with
+/// [`ServeError::ShuttingDown`], so a wire front-end can always send *some*
+/// response frame and its writer never hangs.
+pub(crate) struct Reply(Option<BoxedReply>);
 
-impl ReplyCallback {
-    pub(crate) fn new(f: BoxedReply) -> Self {
-        Self(Some(f))
+impl Reply {
+    pub(crate) fn new(f: impl FnOnce(Result<LocateResponse, ServeError>) + Send + 'static) -> Self {
+        Self(Some(Box::new(f)))
     }
 
-    pub(crate) fn call(mut self, result: Result<LocateResponse, ServeError>) {
+    pub(crate) fn send(mut self, result: Result<LocateResponse, ServeError>) {
         if let Some(f) = self.0.take() {
             f(result);
         }
     }
 }
 
-impl Drop for ReplyCallback {
+impl Drop for Reply {
     fn drop(&mut self) {
         if let Some(f) = self.0.take() {
             f(Err(ServeError::ShuttingDown));
@@ -79,9 +67,8 @@ impl Drop for ReplyCallback {
     }
 }
 
-/// One queued localization request.
+/// One queued localization request. Its venue is the shard it sits in.
 pub(crate) struct Request {
-    pub(crate) venue: String,
     pub(crate) rssi: Vec<f32>,
     pub(crate) enqueued: Instant,
     /// Answer-by instant, stamped at submit from the client's deadline
@@ -96,16 +83,13 @@ pub(crate) struct Request {
     pub(crate) reply: Reply,
 }
 
-/// Why a [`ShardedQueue::try_push`] was refused. Each variant hands the
-/// request back so the caller can reclaim its reply (the exactly-once
-/// callback contract).
-pub(crate) enum TryPushError {
-    /// The shared global capacity is exhausted.
-    GlobalFull(Request),
-    /// The venue's own sub-queue cap is hit (global capacity had room).
-    VenueFull(Request),
-    /// The queue is closed (server shutting down).
-    Closed(Request),
+/// One venue's entry in the venue table: its counters and its breaker.
+/// Created on the venue's first submit and kept for the server's lifetime.
+#[derive(Debug)]
+pub(crate) struct Venue {
+    pub(crate) name: String,
+    pub(crate) stats: VenueStats,
+    pub(crate) breaker: Breaker,
 }
 
 /// What [`ShardedQueue::collect`] handed out.
@@ -113,7 +97,7 @@ pub(crate) enum Collected {
     /// A single-venue batch: every request targets `venue`, FIFO order.
     Batch {
         /// The venue every request of this batch targets.
-        venue: String,
+        venue: Arc<Venue>,
         /// The drained live requests (up to `max_batch` of them; may be
         /// empty when every drained request had already expired).
         requests: Vec<Request>,
@@ -135,7 +119,7 @@ pub(crate) enum Collected {
 /// One venue's FIFO sub-queue. Shards are created on a venue's first push
 /// and retained (empty) afterwards, so shard indices stay stable.
 struct Shard {
-    venue: String,
+    venue: Arc<Venue>,
     queue: VecDeque<Request>,
 }
 
@@ -151,13 +135,18 @@ struct Inner {
 }
 
 impl Inner {
-    fn shard_idx(&mut self, venue: &str) -> usize {
+    fn shard_idx(&mut self, venue: &str, cfg: &ServerConfig) -> usize {
         if let Some(&i) = self.by_venue.get(venue) {
             return i;
         }
         let i = self.shards.len();
-        self.shards.push(Shard { venue: venue.to_string(), queue: VecDeque::new() });
-        self.by_venue.insert(venue.to_string(), i);
+        let venue = Arc::new(Venue {
+            name: venue.to_string(),
+            stats: VenueStats::new(cfg.max_batch),
+            breaker: Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown),
+        });
+        self.by_venue.insert(venue.name.clone(), i);
+        self.shards.push(Shard { venue, queue: VecDeque::new() });
         i
     }
 
@@ -201,12 +190,11 @@ pub(crate) struct ShardedQueue {
     work: Condvar,
     /// Blocking producers wait here for a slot (global or per-venue).
     space: Condvar,
-    capacity: usize,
-    venue_capacity: Option<usize>,
+    pub(crate) cfg: ServerConfig,
 }
 
 impl ShardedQueue {
-    pub(crate) fn new(capacity: usize, venue_capacity: Option<usize>, paused: bool) -> Self {
+    pub(crate) fn new(cfg: ServerConfig, paused: bool) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 shards: Vec::new(),
@@ -218,56 +206,62 @@ impl ShardedQueue {
             }),
             work: Condvar::new(),
             space: Condvar::new(),
-            capacity,
-            venue_capacity,
+            cfg,
         }
     }
 
-    /// Non-blocking push: fails fast when the global capacity or the
-    /// venue's cap is exhausted, handing the request back.
-    pub(crate) fn try_push(&self, req: Request) -> Result<(), TryPushError> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.closed {
-            return Err(TryPushError::Closed(req));
-        }
-        if inner.queued >= self.capacity {
-            return Err(TryPushError::GlobalFull(req));
-        }
-        let idx = inner.shard_idx(&req.venue);
-        if let Some(cap) = self.venue_capacity {
-            if inner.shards[idx].queue.len() >= cap {
-                return Err(TryPushError::VenueFull(req));
-            }
-        }
-        inner.shards[idx].queue.push_back(req);
-        inner.queued += 1;
-        drop(inner);
-        self.work.notify_all();
-        Ok(())
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocking push: waits for a slot (backpressure). `Err` hands the
-    /// request back — the queue closed while waiting (or before).
-    pub(crate) fn push(&self, req: Request) -> Result<(), Request> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
+    /// Queues `req` for `venue`. When the shared capacity or the venue's
+    /// cap is exhausted, `block` waits for a slot (backpressure); otherwise
+    /// the request is shed with [`ServeError::QueueFull`] or
+    /// [`ServeError::VenueQueueFull`]. A closed queue refuses with
+    /// [`ServeError::ShuttingDown`]. A refused request is answered with the
+    /// returned error before this returns, outside the lock.
+    pub(crate) fn push(&self, venue: &str, req: Request, block: bool) -> Result<(), ServeError> {
+        let mut inner = self.lock();
+        let err = loop {
             if inner.closed {
-                return Err(req);
+                break ServeError::ShuttingDown;
             }
-            if inner.queued < self.capacity {
-                let idx = inner.shard_idx(&req.venue);
-                let venue_full =
-                    self.venue_capacity.is_some_and(|cap| inner.shards[idx].queue.len() >= cap);
-                if !venue_full {
-                    inner.shards[idx].queue.push_back(req);
-                    inner.queued += 1;
-                    drop(inner);
-                    self.work.notify_all();
-                    return Ok(());
-                }
+            let idx = inner.shard_idx(venue, &self.cfg);
+            let global_full = inner.queued >= self.cfg.queue_capacity;
+            let shard = &mut inner.shards[idx];
+            let venue_full = self.cfg.venue_capacity.is_some_and(|cap| shard.queue.len() >= cap);
+            if !global_full && !venue_full {
+                // Counted under the lock: no executor can pull (and
+                // complete) the request before its enqueue is recorded.
+                shard.venue.stats.record_enqueued();
+                shard.queue.push_back(req);
+                inner.queued += 1;
+                drop(inner);
+                self.work.notify_all();
+                return Ok(());
             }
-            inner = self.space.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
+            if !block {
+                break if global_full {
+                    shard.venue.stats.record_shed_global();
+                    ServeError::QueueFull
+                } else {
+                    shard.venue.stats.record_shed_venue();
+                    ServeError::VenueQueueFull { venue: venue.to_string() }
+                };
+            }
+            inner = self.space.wait(inner).unwrap_or_else(PoisonError::into_inner);
+        };
+        drop(inner);
+        req.reply.send(Err(err.clone()));
+        Err(err)
+    }
+
+    /// Every venue the queue has seen, sorted by name.
+    pub(crate) fn venues(&self) -> Vec<Arc<Venue>> {
+        let mut venues: Vec<Arc<Venue>> =
+            self.lock().shards.iter().map(|s| Arc::clone(&s.venue)).collect();
+        venues.sort_by(|a, b| a.name.cmp(&b.name));
+        venues
     }
 
     /// Hands the calling executor its next single-venue batch, blocking
@@ -281,11 +275,12 @@ impl ShardedQueue {
     /// batch's `expired` list as they are popped: expired work never
     /// occupies one of the `max_batch` live slots and never reaches
     /// `locate_batch`.
-    pub(crate) fn collect(&self, max_batch: usize, max_wait: Duration) -> Collected {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+    pub(crate) fn collect(&self) -> Collected {
+        let ServerConfig { max_batch, max_wait, .. } = self.cfg;
+        let mut inner = self.lock();
         let idx = loop {
             if inner.paused && !inner.closed {
-                inner = self.work.wait(inner).unwrap_or_else(|e| e.into_inner());
+                inner = self.work.wait(inner).unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
             if let Some(idx) = inner.pick_victim(max_wait) {
@@ -294,11 +289,11 @@ impl ShardedQueue {
             if inner.closed {
                 return Collected::Closed;
             }
-            inner = self.work.wait(inner).unwrap_or_else(|e| e.into_inner());
+            inner = self.work.wait(inner).unwrap_or_else(PoisonError::into_inner);
         };
 
         inner.cursor = (idx + 1) % inner.shards.len();
-        let venue = inner.shards[idx].venue.clone();
+        let venue = Arc::clone(&inner.shards[idx].venue);
         let drained_at = Instant::now();
         let mut requests = Vec::new();
         let mut expired = Vec::new();
@@ -346,7 +341,7 @@ impl ShardedQueue {
                 let (guard, _) = self
                     .work
                     .wait_timeout(inner, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
+                    .unwrap_or_else(PoisonError::into_inner);
                 inner = guard;
             }
         }
@@ -355,7 +350,7 @@ impl ShardedQueue {
 
     /// Unparks executors parked by a paused start. Idempotent.
     pub(crate) fn resume(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         if inner.paused {
             inner.paused = false;
             drop(inner);
@@ -367,7 +362,7 @@ impl ShardedQueue {
     /// with their request handed back, and executors drain what remains
     /// then receive [`Collected::Closed`]. Clears pause — a drain must run.
     pub(crate) fn close(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         inner.closed = true;
         inner.paused = false;
         drop(inner);
@@ -378,14 +373,14 @@ impl ShardedQueue {
 
 impl std::fmt::Debug for ShardedQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = self.lock();
         write!(
             f,
             "ShardedQueue(queued={}, venues={}, capacity={}, venue_capacity={:?})",
             inner.queued,
             inner.shards.len(),
-            self.capacity,
-            self.venue_capacity
+            self.cfg.queue_capacity,
+            self.cfg.venue_capacity
         )
     }
 }

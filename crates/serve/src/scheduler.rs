@@ -36,87 +36,58 @@
 //!   the half-open probe after the cooldown usually lands on a healthy
 //!   model. Other venues never notice.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::Instant;
 
 use stone_obs::{record_span_between, Stage};
 use stone_radio::Point2;
 
-use crate::breaker::Admit;
-use crate::queue::{Collected, Request, ShardedQueue};
+use crate::chaos::ChaosState;
+use crate::queue::{Collected, Request, ShardedQueue, Venue};
 use crate::registry::ModelRegistry;
-use crate::server::{LocateResponse, ServeError, ServerConfig, Shared};
+use crate::server::{LocateResponse, ServeError, ServerConfig};
 use crate::stats::VenueStats;
 
 /// One executor thread: pull a single-venue batch, execute, reply, repeat —
-/// until the queue closes and drains dry.
-///
-/// Each executor memoizes the venue → stats-block lookups it has done
-/// (`shared.stats.venue` takes the stats map's read lock), so a venue's
-/// steady-state batches record against a locally cached `Arc` — the
-/// executor-side half of the hot-path fix measured in
-/// docs/PERFORMANCE.md (the submit side is [`crate::VenueHandle`]).
+/// until the queue closes and drains dry. The batch carries its venue's
+/// counters and breaker, so nothing here looks a venue up.
 pub(crate) fn executor_loop(
     queue: &ShardedQueue,
     registry: &ModelRegistry,
-    shared: &Shared,
+    chaos: &ChaosState,
     cfg: ServerConfig,
 ) {
-    let mut venue_stats: HashMap<String, Arc<VenueStats>> = HashMap::new();
-    loop {
-        match queue.collect(cfg.max_batch, cfg.max_wait) {
-            Collected::Closed => return,
-            Collected::Batch { venue, requests, expired, drained_at } => {
-                let vstats = Arc::clone(
-                    venue_stats.entry(venue.clone()).or_insert_with(|| shared.stats.venue(&venue)),
-                );
-                // Last-resort isolation: the model call has its own
-                // catch_unwind below, but nothing anywhere in batch
-                // handling may kill the executor. Requests dropped by a
-                // panic here still answer — the reply channel's drop makes
-                // wait() return ShuttingDown, and a ReplyCallback fires
-                // ShuttingDown from its Drop impl.
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    if !expired.is_empty() {
-                        expire_requests(shared, &vstats, &venue, expired);
-                    }
-                    if !requests.is_empty() {
-                        execute_batch(
-                            registry, shared, &vstats, &cfg, &venue, requests, drained_at,
-                        );
-                    }
-                }));
+    while let Collected::Batch { venue, requests, expired, drained_at } = queue.collect() {
+        // Last-resort isolation: the model call has its own catch_unwind
+        // below, but nothing anywhere in batch handling may kill the
+        // executor. Requests dropped by a panic here still answer — a
+        // reply fires ShuttingDown from its Drop impl.
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            if !expired.is_empty() {
+                let err = ServeError::DeadlineExceeded { venue: venue.name.clone() };
+                fail_unbatched(&venue, expired, VenueStats::record_expired, &err);
             }
-        }
+            if !requests.is_empty() {
+                execute_batch(registry, chaos, &cfg, &venue, requests, drained_at);
+            }
+        }));
     }
 }
 
-/// Answers requests whose deadline passed while they were queued. They are
-/// counted as completions (queue-depth accounting) and as expirations, but
-/// never as a batch — no model was touched.
-fn expire_requests(shared: &Shared, vstats: &VenueStats, venue: &str, expired: Vec<Request>) {
-    for req in expired {
-        let latency = req.enqueued.elapsed();
-        shared.stats.record_expired();
-        vstats.record_expired();
-        shared.stats.record_completed(latency);
-        vstats.record_completed(latency);
-        req.reply.send(Err(ServeError::DeadlineExceeded { venue: venue.to_string() }));
-    }
-}
-
-/// Fast-fails a whole batch because the venue's breaker is open: every
-/// request answers [`ServeError::VenueUnavailable`] without the model being
-/// touched.
-fn fast_fail_batch(shared: &Shared, vstats: &VenueStats, venue: &str, batch: Vec<Request>) {
-    for req in batch {
-        let latency = req.enqueued.elapsed();
-        vstats.record_fast_failed();
-        shared.stats.record_completed(latency);
-        vstats.record_completed(latency);
-        req.reply.send(Err(ServeError::VenueUnavailable { venue: venue.to_string() }));
+/// Answers requests that never reached the model — expired in the queue,
+/// or fast-failed by an open breaker — with `err`. Each counts as a
+/// completion (queue-depth accounting) and under `counter`, never as a
+/// batch.
+fn fail_unbatched(
+    venue: &Venue,
+    requests: Vec<Request>,
+    counter: fn(&VenueStats),
+    err: &ServeError,
+) {
+    for req in requests {
+        counter(&venue.stats);
+        venue.stats.record_completed(req.enqueued.elapsed());
+        req.reply.send(Err(err.clone()));
     }
 }
 
@@ -136,30 +107,30 @@ fn fast_fail_batch(shared: &Shared, vstats: &VenueStats, venue: &str, batch: Vec
 #[allow(clippy::too_many_lines)]
 fn execute_batch(
     registry: &ModelRegistry,
-    shared: &Shared,
-    vstats: &VenueStats,
+    chaos: &ChaosState,
     cfg: &ServerConfig,
-    venue: &str,
+    venue: &Venue,
     batch: Vec<Request>,
     drained_at: Instant,
 ) {
     // Stage boundary: the batch is in the executor's hands from here.
     let collected_at = Instant::now();
+    let (name, vstats) = (venue.name.as_str(), &venue.stats);
 
     // Breaker admission is per *batch*, before any batch accounting: a
     // fast-failed batch is not a batch the model executed.
-    if shared.breakers.admit(venue) == Admit::FastFail {
-        fast_fail_batch(shared, vstats, venue, batch);
+    if !venue.breaker.admit() {
+        let err = ServeError::VenueUnavailable { venue: name.to_string() };
+        fail_unbatched(venue, batch, VenueStats::record_fast_failed, &err);
         return;
     }
 
-    shared.stats.record_batch(batch.len());
     vstats.record_batch(batch.len());
 
     let mut results: Vec<Option<Result<LocateResponse, ServeError>>> = Vec::new();
     results.resize_with(batch.len(), || None);
 
-    let entry = registry.snapshot(venue);
+    let entry = registry.snapshot(name);
     // Stage boundary: the model snapshot (the batch's consistency unit)
     // is pinned; everything after is inference.
     let snapshotted_at = Instant::now();
@@ -170,12 +141,12 @@ fn execute_batch(
         // state is left untouched (a half-open probe stays half-open).
         None => {
             for r in &mut results {
-                *r = Some(Err(ServeError::UnknownVenue { venue: venue.to_string() }));
+                *r = Some(Err(ServeError::UnknownVenue { venue: name.to_string() }));
             }
         }
         Some(entry) if entry.model().knn().is_empty() => {
             for r in &mut results {
-                *r = Some(Err(ServeError::EmptyModel { venue: venue.to_string() }));
+                *r = Some(Err(ServeError::EmptyModel { venue: name.to_string() }));
             }
         }
         Some(entry) => {
@@ -187,7 +158,7 @@ fn execute_batch(
                     ok_idx.push(i);
                 } else {
                     results[i] = Some(Err(ServeError::ScanDimensionMismatch {
-                        venue: venue.to_string(),
+                        venue: name.to_string(),
                         expected,
                         got,
                     }));
@@ -204,7 +175,7 @@ fn execute_batch(
                 // every mutable capture is written only after a normal
                 // return.
                 let outcome = catch_unwind(AssertUnwindSafe(|| -> Vec<Point2> {
-                    shared.chaos.before_batch(venue, version);
+                    chaos.before_batch(name, version);
                     if cfg.workers > 1 {
                         // Several executors may be running batches
                         // concurrently: each keeps its kernels inline so
@@ -217,26 +188,25 @@ fn execute_batch(
                 }));
                 match outcome {
                     Ok(positions) => {
-                        shared.breakers.record_success(venue);
+                        venue.breaker.record_success();
                         for (&i, position) in ok_idx.iter().zip(positions) {
                             results[i] =
                                 Some(Ok(LocateResponse { position, model_version: version }));
                         }
                     }
                     Err(_) => {
-                        shared.stats.record_panicked_batch();
                         vstats.record_panicked_batch();
-                        if shared.breakers.record_failure(venue) {
+                        if venue.breaker.record_failure() {
                             vstats.record_breaker_trip();
                             // The trip's degradation move: swap the venue
                             // back to the snapshot the bad publish
                             // replaced, so the post-cooldown probe lands on
                             // the last-good model instead of re-panicking.
-                            let _ = registry.rollback(venue);
+                            let _ = registry.rollback(name);
                         }
                         for &i in &ok_idx {
                             results[i] =
-                                Some(Err(ServeError::Internal { venue: venue.to_string() }));
+                                Some(Err(ServeError::Internal { venue: name.to_string() }));
                         }
                     }
                 }
@@ -254,9 +224,7 @@ fn execute_batch(
         // wait() returns, a stats() snapshot must already account for its
         // request (the smoke test reads exact counts right after the last
         // reply).
-        let latency = req.enqueued.elapsed();
-        shared.stats.record_completed(latency);
-        vstats.record_completed(latency);
+        vstats.record_completed(req.enqueued.elapsed());
         if req.trace_id != 0 && stone_obs::tracing_enabled() {
             let (trace_id, enqueued) = (req.trace_id, req.enqueued);
             req.reply.send(result);

@@ -11,10 +11,9 @@
 //! model snapshot: batching changes cost, never answers.
 //!
 //! This module owns the public surface (errors, config, handles, tickets);
-//! the queue discipline lives in `queue.rs` and the drain policy plus batch
-//! execution in `scheduler.rs`.
+//! the queue discipline and the venue table live in `queue.rs` and the
+//! drain policy plus batch execution in `scheduler.rs`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -22,22 +21,12 @@ use std::time::{Duration, Instant};
 
 use stone_radio::Point2;
 
-use crate::breaker::{BreakerSet, BreakerState};
+use crate::breaker::BreakerState;
 use crate::chaos::{ChaosConfig, ChaosState};
-use crate::queue::{Reply, ReplyCallback, Request, ShardedQueue, TryPushError};
+use crate::queue::{Reply, Request, ShardedQueue};
 use crate::registry::ModelRegistry;
 use crate::scheduler::executor_loop;
-use crate::stats::{ServerStats, StatsSnapshot, VenueStats, VenueStatsSnapshot};
-
-/// A fresh trace ID when tracing is enabled, `0` (untraced) otherwise —
-/// the submit-side cost of disabled tracing is this one relaxed load.
-fn fresh_trace_id() -> u64 {
-    if stone_obs::tracing_enabled() {
-        stone_obs::mint_trace_id()
-    } else {
-        0
-    }
-}
+use crate::stats::StatsSnapshot;
 
 /// Why a localization request failed. Always per-request: one bad query
 /// never takes down a batch, a worker, or the server.
@@ -64,9 +53,8 @@ pub enum ServeError {
         got: usize,
     },
     /// The **shared global capacity** of the bounded request queue is full
-    /// (backpressure; only [`ServerHandle::try_locate`]/
-    /// [`ServerHandle::try_submit`] report this — the blocking variants
-    /// wait for a slot instead).
+    /// (backpressure; only [`ServerHandle::try_submit_with`] reports this —
+    /// [`ServerHandle::submit`] waits for a slot instead).
     QueueFull,
     /// The venue's **own sub-queue cap** ([`ServerConfig::venue_capacity`])
     /// is full while the global capacity still had room — one hot venue is
@@ -80,8 +68,8 @@ pub enum ServeError {
     /// The request's deadline expired while it was still queued. The
     /// scheduler drops expired requests at collect time — they never occupy
     /// a batch slot or reach the model. Only requests submitted with a
-    /// deadline ([`ServerHandle::submit_deadline`] and friends, or a v2
-    /// wire request with a non-zero budget) can fail this way.
+    /// [`Submit::deadline`] (or a wire request with a non-zero budget) can
+    /// fail this way.
     DeadlineExceeded {
         /// The venue the expired request targeted.
         venue: String,
@@ -167,8 +155,9 @@ pub struct ServerConfig {
     /// worthwhile when per-batch fixed cost dominates per-scan cost.
     pub max_wait: Duration,
     /// Capacity of the bounded request queue — the backpressure boundary,
-    /// **shared across all venues**. Blocking submits wait for a slot;
-    /// `try_` submits return [`ServeError::QueueFull`].
+    /// **shared across all venues**. [`ServerHandle::submit`] waits for a
+    /// slot; [`ServerHandle::try_submit_with`] sheds with
+    /// [`ServeError::QueueFull`].
     pub queue_capacity: usize,
     /// Optional cap on any single venue's sub-queue, carved out of the
     /// shared `queue_capacity`. `None` (the default, and the pre-PR 8
@@ -220,14 +209,6 @@ impl ServerConfig {
     }
 }
 
-/// State shared between the server, its handles and its executors.
-pub(crate) struct Shared {
-    pub(crate) stats: ServerStats,
-    pub(crate) accepting: AtomicBool,
-    pub(crate) breakers: BreakerSet,
-    pub(crate) chaos: ChaosState,
-}
-
 /// A long-running localization service over a [`ModelRegistry`].
 ///
 /// See the crate docs for the architecture; the acceptance contract
@@ -257,7 +238,6 @@ pub(crate) struct Shared {
 pub struct LocalizationServer {
     registry: Arc<ModelRegistry>,
     queue: Arc<ShardedQueue>,
-    shared: Arc<Shared>,
     cfg: ServerConfig,
     workers: Vec<JoinHandle<()>>,
 }
@@ -338,31 +318,26 @@ impl LocalizationServer {
         chaos: ChaosConfig,
     ) -> Self {
         cfg.validate();
-        let queue = Arc::new(ShardedQueue::new(cfg.queue_capacity, cfg.venue_capacity, paused));
-        let shared = Arc::new(Shared {
-            stats: ServerStats::new(cfg.max_batch),
-            accepting: AtomicBool::new(true),
-            breakers: BreakerSet::new(cfg.breaker_threshold, cfg.breaker_cooldown),
-            chaos: ChaosState::new(chaos),
-        });
+        let queue = Arc::new(ShardedQueue::new(cfg, paused));
+        let chaos = Arc::new(ChaosState::new(chaos));
         let workers = (0..cfg.workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let registry = Arc::clone(&registry);
-                let shared = Arc::clone(&shared);
+                let chaos = Arc::clone(&chaos);
                 std::thread::Builder::new()
                     .name(format!("stone-serve-{i}"))
-                    .spawn(move || executor_loop(&queue, &registry, &shared, cfg))
+                    .spawn(move || executor_loop(&queue, &registry, &chaos, cfg))
                     .expect("spawn executor thread")
             })
             .collect();
-        Self { registry, queue, shared, cfg, workers }
+        Self { registry, queue, cfg, workers }
     }
 
     /// A cloneable client handle feeding this server's queue.
     #[must_use]
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle { queue: Arc::clone(&self.queue), shared: Arc::clone(&self.shared) }
+        ServerHandle { queue: Arc::clone(&self.queue) }
     }
 
     /// The registry this server resolves venues against (publish retrained
@@ -378,11 +353,11 @@ impl LocalizationServer {
         &self.cfg
     }
 
-    /// A point-in-time copy of the server's counters (aggregate plus the
-    /// per-venue breakdowns of [`StatsSnapshot::venues`]).
+    /// A point-in-time copy of the server's counters (see
+    /// [`ServerHandle::stats`]).
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.handle().stats()
     }
 
     /// Stops accepting new requests, drains every request already queued,
@@ -401,11 +376,10 @@ impl LocalizationServer {
         if self.workers.is_empty() {
             return;
         }
-        self.shared.accepting.store(false, Ordering::SeqCst);
-        // Closing wakes parked/waiting executors (pause is cleared — the
-        // drain must run), fails blocked producers with ShuttingDown, and
-        // lets each executor keep collecting single-venue batches until the
-        // queue is empty before it exits.
+        // Closing refuses new submits and fails blocked producers with
+        // ShuttingDown, wakes parked/waiting executors (pause is cleared —
+        // the drain must run), and lets each executor keep collecting
+        // single-venue batches until the queue is empty before it exits.
         self.queue.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -425,34 +399,63 @@ impl std::fmt::Debug for LocalizationServer {
     }
 }
 
+/// One scan to localize, as [`ServerHandle::try_submit_with`] takes it.
+#[derive(Debug, Clone, Copy)]
+pub struct Submit<'a> {
+    /// The venue whose model answers.
+    pub venue: &'a str,
+    /// The RSSI vector, one entry per AP of the venue's universe.
+    pub rssi: &'a [f32],
+    /// Deadline budget counted from submission, queueing time included: a
+    /// request still queued once it elapses is dropped at batch-collect
+    /// time — before ever occupying a batch slot — and answered
+    /// [`ServeError::DeadlineExceeded`]. `None` never expires.
+    pub deadline: Option<Duration>,
+    /// Tracing correlation ID. `0` means "untraced caller": a fresh ID is
+    /// minted when tracing is enabled server-side, and the request stays
+    /// untraced otherwise. A nonzero ID (a wire frame's `trace_id`) is
+    /// carried through verbatim, so the stage spans recorded for it can be
+    /// joined with client-side timings by ID.
+    pub trace_id: u64,
+}
+
+impl<'a> Submit<'a> {
+    /// A request for `venue` with no deadline and no trace ID.
+    #[must_use]
+    pub fn new(venue: &'a str, rssi: &'a [f32]) -> Self {
+        Self { venue, rssi, deadline: None, trace_id: 0 }
+    }
+}
+
 /// A client-side handle: submit scans, get positions. Cloneable and
 /// shareable across client threads.
 #[derive(Clone)]
 pub struct ServerHandle {
     queue: Arc<ShardedQueue>,
-    shared: Arc<Shared>,
 }
 
 impl ServerHandle {
-    fn request(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> (Request, mpsc::Receiver<Result<LocateResponse, ServeError>>) {
-        let (reply, rx) = mpsc::channel();
+    /// The one submit body behind both entries: stamp the request, then
+    /// queue it (waiting for a slot when `block`). A refused request's
+    /// reply has fired with the returned error.
+    fn enqueue(&self, submit: Submit<'_>, reply: Reply, block: bool) -> Result<(), ServeError> {
         // One Instant::now() stamps both: the deadline budget counts from
         // the moment of submission, queueing time included.
         let now = Instant::now();
-        let req = Request {
-            venue: venue.to_string(),
-            rssi: rssi.to_vec(),
-            enqueued: now,
-            deadline: deadline.map(|d| now + d),
-            trace_id: fresh_trace_id(),
-            reply: Reply::Channel(reply),
+        let trace_id = match submit.trace_id {
+            // The submit-side cost of disabled tracing is this one relaxed
+            // load.
+            0 if stone_obs::tracing_enabled() => stone_obs::mint_trace_id(),
+            id => id,
         };
-        (req, rx)
+        let req = Request {
+            rssi: submit.rssi.to_vec(),
+            enqueued: now,
+            deadline: submit.deadline.map(|d| now + d),
+            trace_id,
+            reply,
+        };
+        self.queue.push(submit.venue, req, block)
     }
 
     /// Enqueues a scan, **blocking while the queue is full** (backpressure),
@@ -465,135 +468,28 @@ impl ServerHandle {
     /// Returns [`ServeError::ShuttingDown`] when the server no longer
     /// accepts requests.
     pub fn submit(&self, venue: &str, rssi: &[f32]) -> Result<PendingLocate, ServeError> {
-        self.submit_deadline(venue, rssi, None)
-    }
-
-    /// [`ServerHandle::submit`] with an optional deadline budget counted
-    /// from now: if the request is still queued once the budget elapses, it
-    /// is dropped at batch-collect time — before ever occupying a batch
-    /// slot — and answered [`ServeError::DeadlineExceeded`]. `None` (and
-    /// the plain [`ServerHandle::submit`]) never expires.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ShuttingDown`] when the server no longer
-    /// accepts requests.
-    pub fn submit_deadline(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        self.submit_deadline_inner(venue, &self.shared.stats.venue(venue), rssi, deadline)
-    }
-
-    /// The shared body of the blocking submits: takes the venue's stats
-    /// block so [`VenueHandle`] can pass its cached `Arc` and skip the
-    /// per-request map lookup.
-    fn submit_deadline_inner(
-        &self,
-        venue: &str,
-        vstats: &VenueStats,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        if !self.shared.accepting.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let (req, rx) = self.request(venue, rssi, deadline);
-        // Count the request in *before* the push: a fast executor may pull
-        // and complete it before this thread runs again, and queue_depth
-        // must never transiently underflow.
-        self.shared.stats.record_enqueued();
-        vstats.record_enqueued();
-        if self.queue.push(req).is_err() {
-            self.shared.stats.record_enqueue_aborted();
-            vstats.record_enqueue_aborted();
-            return Err(ServeError::ShuttingDown);
-        }
+        let (tx, rx) = mpsc::channel();
+        // A client that gave up and dropped its ticket is not an error.
+        let reply = Reply::new(move |result| drop(tx.send(result)));
+        self.enqueue(Submit::new(venue, rssi), reply, true)?;
         Ok(PendingLocate { rx })
     }
 
-    /// Like [`ServerHandle::submit`], but fails fast with
+    /// Enqueues a scan **without blocking**: it fails fast with
     /// [`ServeError::QueueFull`] (shared capacity exhausted) or
-    /// [`ServeError::VenueQueueFull`] (the venue's own cap hit) instead of
-    /// blocking when the bounded queue has no slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`].
-    pub fn try_submit(&self, venue: &str, rssi: &[f32]) -> Result<PendingLocate, ServeError> {
-        self.try_submit_deadline(venue, rssi, None)
-    }
-
-    /// [`ServerHandle::try_submit`] with an optional deadline budget (see
-    /// [`ServerHandle::submit_deadline`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`].
-    pub fn try_submit_deadline(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        self.try_submit_deadline_inner(venue, &self.shared.stats.venue(venue), rssi, deadline)
-    }
-
-    /// The shared body of the fail-fast ticket submits (see
-    /// [`ServerHandle::submit_deadline_inner`] for why `vstats` is a
-    /// parameter).
-    fn try_submit_deadline_inner(
-        &self,
-        venue: &str,
-        vstats: &VenueStats,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        if !self.shared.accepting.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let (req, rx) = self.request(venue, rssi, deadline);
-        // Same enqueue-before-push ordering as `submit`.
-        self.shared.stats.record_enqueued();
-        vstats.record_enqueued();
-        match self.queue.try_push(req) {
-            Ok(()) => Ok(PendingLocate { rx }),
-            Err(e) => {
-                self.shared.stats.record_enqueue_aborted();
-                vstats.record_enqueue_aborted();
-                match e {
-                    TryPushError::GlobalFull(_) => {
-                        self.shared.stats.record_rejected();
-                        vstats.record_shed_global();
-                        Err(ServeError::QueueFull)
-                    }
-                    TryPushError::VenueFull(_) => {
-                        self.shared.stats.record_rejected();
-                        vstats.record_shed_venue();
-                        Err(ServeError::VenueQueueFull { venue: venue.to_string() })
-                    }
-                    TryPushError::Closed(_) => Err(ServeError::ShuttingDown),
-                }
-            }
-        }
-    }
-
-    /// Like [`ServerHandle::try_submit`], but the answer is delivered by
-    /// invoking `reply` from the executor thread instead of through a
-    /// [`PendingLocate`] ticket — the submit path a wire front-end uses to
-    /// write responses back in **completion order** (a shed response for a
-    /// late request can overtake the answer to an earlier queued one).
+    /// [`ServeError::VenueQueueFull`] (the venue's own cap hit) when the
+    /// bounded queue has no slot. The answer is delivered by invoking
+    /// `reply` from the executor thread — the submit path a wire front-end
+    /// uses to write responses back in **completion order** (a shed
+    /// response for a late request can overtake the answer to an earlier
+    /// queued one).
     ///
     /// The callback is invoked **exactly once** for every call, including
-    /// failed submits: on [`ServeError::QueueFull`] /
-    /// [`ServeError::VenueQueueFull`] / [`ServeError::ShuttingDown`] it
-    /// fires inline with that error (and the same error is also returned,
-    /// so the caller can stop reading without inspecting responses). If the
-    /// server is torn down with the request still queued, the callback
+    /// failed submits: on a shed or [`ServeError::ShuttingDown`] it fires
+    /// inline with that error (and the same error is also returned, so the
+    /// caller can stop reading without inspecting responses). An expired
+    /// request's callback fires with [`ServeError::DeadlineExceeded`]. If
+    /// the server is torn down with the request still queued, the callback
     /// fires with `ShuttingDown`.
     ///
     /// # Errors
@@ -601,133 +497,11 @@ impl ServerHandle {
     /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
     /// [`ServeError::ShuttingDown`]; the callback has already been invoked
     /// with the same error.
-    pub fn try_submit_with<F>(&self, venue: &str, rssi: &[f32], reply: F) -> Result<(), ServeError>
+    pub fn try_submit_with<F>(&self, submit: Submit<'_>, reply: F) -> Result<(), ServeError>
     where
         F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
     {
-        self.try_submit_with_deadline(venue, rssi, None, reply)
-    }
-
-    /// [`ServerHandle::try_submit_with`] with an optional deadline budget
-    /// (see [`ServerHandle::submit_deadline`]) — the submit path the wire
-    /// front-end uses for v2 requests carrying a deadline. An expired
-    /// request's callback fires with [`ServeError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`]; the callback has already been invoked
-    /// with the same error.
-    pub fn try_submit_with_deadline<F>(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-        reply: F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
-    {
-        self.try_submit_with_deadline_traced(venue, rssi, deadline, 0, reply)
-    }
-
-    /// [`ServerHandle::try_submit_with_deadline`] carrying an explicit
-    /// trace ID — the submit path a wire front-end uses to correlate a
-    /// request's stage spans with the client that sent it. `trace_id = 0`
-    /// means "untraced caller": a fresh ID is minted when tracing is
-    /// enabled server-side, and the request stays untraced otherwise. A
-    /// nonzero ID (a v3 wire frame's `trace_id` field) is carried through
-    /// verbatim, so spans recorded here can be joined with client-side
-    /// timings by ID.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`]; the callback has already been invoked
-    /// with the same error.
-    pub fn try_submit_with_deadline_traced<F>(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-        trace_id: u64,
-        reply: F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
-    {
-        self.try_submit_with_deadline_traced_inner(
-            venue,
-            &self.shared.stats.venue(venue),
-            rssi,
-            deadline,
-            trace_id,
-            reply,
-        )
-    }
-
-    /// The shared body of the callback submits (see
-    /// [`ServerHandle::submit_deadline_inner`] for why `vstats` is a
-    /// parameter).
-    fn try_submit_with_deadline_traced_inner<F>(
-        &self,
-        venue: &str,
-        vstats: &VenueStats,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-        trace_id: u64,
-        reply: F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
-    {
-        let cb = ReplyCallback::new(Box::new(reply));
-        if !self.shared.accepting.load(Ordering::SeqCst) {
-            cb.call(Err(ServeError::ShuttingDown));
-            return Err(ServeError::ShuttingDown);
-        }
-        let now = Instant::now();
-        let req = Request {
-            venue: venue.to_string(),
-            rssi: rssi.to_vec(),
-            enqueued: now,
-            deadline: deadline.map(|d| now + d),
-            trace_id: if trace_id != 0 { trace_id } else { fresh_trace_id() },
-            reply: Reply::Callback(cb),
-        };
-        // Same enqueue-before-push ordering as `submit`.
-        self.shared.stats.record_enqueued();
-        vstats.record_enqueued();
-        let reclaim = |req: Request| match req.reply {
-            Reply::Callback(cb) => cb,
-            Reply::Channel(_) => unreachable!("submitted request carries a callback reply"),
-        };
-        match self.queue.try_push(req) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.shared.stats.record_enqueue_aborted();
-                vstats.record_enqueue_aborted();
-                match e {
-                    TryPushError::GlobalFull(req) => {
-                        self.shared.stats.record_rejected();
-                        vstats.record_shed_global();
-                        reclaim(req).call(Err(ServeError::QueueFull));
-                        Err(ServeError::QueueFull)
-                    }
-                    TryPushError::VenueFull(req) => {
-                        self.shared.stats.record_rejected();
-                        vstats.record_shed_venue();
-                        let err = ServeError::VenueQueueFull { venue: venue.to_string() };
-                        reclaim(req).call(Err(err.clone()));
-                        Err(err)
-                    }
-                    TryPushError::Closed(req) => {
-                        reclaim(req).call(Err(ServeError::ShuttingDown));
-                        Err(ServeError::ShuttingDown)
-                    }
-                }
-            }
-        }
+        self.enqueue(submit, Reply::new(reply), false)
     }
 
     /// Submits one scan and blocks until its answer arrives.
@@ -740,228 +514,29 @@ impl ServerHandle {
         self.submit(venue, rssi)?.wait()
     }
 
-    /// [`ServerHandle::locate`] with a deadline budget: blocks until the
-    /// answer arrives or the request expires in queue.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`] except `QueueFull`/`VenueQueueFull` (a full queue
-    /// blocks instead); [`ServeError::DeadlineExceeded`] when the budget
-    /// elapsed before a batch executed the request.
-    pub fn locate_deadline(
-        &self,
-        venue: &str,
-        rssi: &[f32],
-        deadline: Duration,
-    ) -> Result<LocateResponse, ServeError> {
-        self.submit_deadline(venue, rssi, Some(deadline))?.wait()
-    }
-
-    /// Submits one scan, failing fast when the queue is full, and blocks
-    /// until its answer arrives.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`], including `QueueFull`/`VenueQueueFull`.
-    pub fn try_locate(&self, venue: &str, rssi: &[f32]) -> Result<LocateResponse, ServeError> {
-        self.try_submit(venue, rssi)?.wait()
-    }
-
-    /// A point-in-time copy of the server's counters.
+    /// A point-in-time copy of the server's counters: the per-venue
+    /// breakdowns of [`StatsSnapshot::venues`] and their sums.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        let venues = self.queue.venues().iter().map(|v| v.stats.snapshot(&v.name)).collect();
+        StatsSnapshot::from_venues(venues, self.queue.cfg.max_batch)
     }
 
-    /// The current [`BreakerState`] of every venue a batch has touched,
-    /// sorted by venue name — a pure observation (see
+    /// The current [`BreakerState`] of every venue the queue has seen,
+    /// sorted by venue name; a venue no batch has run for yet reads
+    /// [`BreakerState::Closed`]. A pure observation (see
     /// [`BreakerState::Open`] for the non-transition caveat). What the
     /// wire admin endpoint exposes as the `stone_serve_breaker_state`
     /// gauge.
     #[must_use]
     pub fn breaker_states(&self) -> Vec<(String, BreakerState)> {
-        self.shared.breakers.snapshot_states()
-    }
-
-    /// A handle pinned to one venue that caches the venue's stats block.
-    ///
-    /// Every plain submit pays one `RwLock` read + `Arc` clone on the
-    /// shared per-venue stats map; a [`VenueHandle`] pays it **once, here**,
-    /// and every subsequent submit records against the cached block
-    /// lock-free. This is the hot-path handle for callers that send many
-    /// requests to the same venue — a wire connection, a loadgen worker
-    /// (the before/after is measured in docs/PERFORMANCE.md).
-    #[must_use]
-    pub fn venue_handle(&self, venue: &str) -> VenueHandle {
-        VenueHandle {
-            vstats: self.shared.stats.venue(venue),
-            venue: venue.to_string(),
-            handle: self.clone(),
-        }
-    }
-}
-
-/// A [`ServerHandle`] pinned to one venue, holding the venue's stats block
-/// so submits skip the per-request stats-map read lock (see
-/// [`ServerHandle::venue_handle`]). Cloneable; clones share the cache.
-#[derive(Clone)]
-pub struct VenueHandle {
-    handle: ServerHandle,
-    venue: String,
-    vstats: Arc<VenueStats>,
-}
-
-impl VenueHandle {
-    /// The venue this handle is pinned to.
-    #[must_use]
-    pub fn venue(&self) -> &str {
-        &self.venue
-    }
-
-    /// [`ServerHandle::submit`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ShuttingDown`] when the server no longer
-    /// accepts requests.
-    pub fn submit(&self, rssi: &[f32]) -> Result<PendingLocate, ServeError> {
-        self.submit_deadline(rssi, None)
-    }
-
-    /// [`ServerHandle::submit_deadline`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::ShuttingDown`] when the server no longer
-    /// accepts requests.
-    pub fn submit_deadline(
-        &self,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        self.handle.submit_deadline_inner(&self.venue, &self.vstats, rssi, deadline)
-    }
-
-    /// [`ServerHandle::try_submit`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`].
-    pub fn try_submit(&self, rssi: &[f32]) -> Result<PendingLocate, ServeError> {
-        self.try_submit_deadline(rssi, None)
-    }
-
-    /// [`ServerHandle::try_submit_deadline`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`].
-    pub fn try_submit_deadline(
-        &self,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-    ) -> Result<PendingLocate, ServeError> {
-        self.handle.try_submit_deadline_inner(&self.venue, &self.vstats, rssi, deadline)
-    }
-
-    /// [`ServerHandle::try_submit_with_deadline`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`]; the callback has already been invoked
-    /// with the same error.
-    pub fn try_submit_with_deadline<F>(
-        &self,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-        reply: F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
-    {
-        self.try_submit_with_deadline_traced(rssi, deadline, 0, reply)
-    }
-
-    /// [`ServerHandle::try_submit_with_deadline_traced`] against the pinned
-    /// venue — the per-connection hot path of the wire front-end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`]; the callback has already been invoked
-    /// with the same error.
-    pub fn try_submit_with_deadline_traced<F>(
-        &self,
-        rssi: &[f32],
-        deadline: Option<Duration>,
-        trace_id: u64,
-        reply: F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
-    {
-        self.handle.try_submit_with_deadline_traced_inner(
-            &self.venue,
-            &self.vstats,
-            rssi,
-            deadline,
-            trace_id,
-            reply,
-        )
-    }
-
-    /// [`ServerHandle::locate`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`] except `QueueFull`/`VenueQueueFull` (a full queue
-    /// blocks instead).
-    pub fn locate(&self, rssi: &[f32]) -> Result<LocateResponse, ServeError> {
-        self.submit(rssi)?.wait()
-    }
-
-    /// [`ServerHandle::locate_deadline`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`] except `QueueFull`/`VenueQueueFull`;
-    /// [`ServeError::DeadlineExceeded`] when the budget elapsed first.
-    pub fn locate_deadline(
-        &self,
-        rssi: &[f32],
-        deadline: Duration,
-    ) -> Result<LocateResponse, ServeError> {
-        self.submit_deadline(rssi, Some(deadline))?.wait()
-    }
-
-    /// [`ServerHandle::try_locate`] against the pinned venue.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`], including `QueueFull`/`VenueQueueFull`.
-    pub fn try_locate(&self, rssi: &[f32]) -> Result<LocateResponse, ServeError> {
-        self.try_submit(rssi)?.wait()
-    }
-
-    /// A point-in-time copy of the pinned venue's counters.
-    #[must_use]
-    pub fn stats(&self) -> VenueStatsSnapshot {
-        self.vstats.snapshot(&self.venue)
-    }
-}
-
-impl std::fmt::Debug for VenueHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "VenueHandle({:?})", self.venue)
+        self.queue.venues().iter().map(|v| (v.name.clone(), v.breaker.state())).collect()
     }
 }
 
 impl std::fmt::Debug for ServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ServerHandle(queue_depth={})", self.shared.stats.snapshot().queue_depth)
+        write!(f, "ServerHandle({:?})", self.queue)
     }
 }
 

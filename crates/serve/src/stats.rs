@@ -1,49 +1,40 @@
 //! Server observability: queue depth, batch-size histogram, latency
-//! percentiles — aggregate *and* per venue.
+//! percentiles — per venue, and summed across venues.
 //!
-//! The live [`ServerStats`] is a block of atomics shared between client
-//! handles and batch executors — recording a request costs a handful of
-//! relaxed atomic increments, never a lock on the hot path (the per-venue
-//! counters sit behind an `RwLock`ed map, but a request only ever takes the
-//! read side once to clone an `Arc`). [`StatsSnapshot`] is the plain-data
-//! copy handed to callers; percentiles are computed on the snapshot so the
-//! hot path never sorts anything.
+//! The live counters are one [`VenueStats`] block of relaxed atomics per
+//! venue, held in the venue's entry of the queue's venue table: a submit
+//! records against it under the queue lock it already takes, and the
+//! executor records against the block its batch carries, so each event is
+//! one relaxed increment and no lookup. [`StatsSnapshot`] is the
+//! plain-data copy handed to callers; every aggregate field is the sum over
+//! its [`StatsSnapshot::venues`], computed at snapshot time, and
+//! percentiles are computed on the snapshot so the hot path never sorts
+//! anything.
 //!
-//! Since PR 8 the server executes **single-venue** batches (the
-//! venue-sharded scheduler), so the per-venue batch-size histograms are the
-//! direct observability of venue-affine coalescing: the aggregate histogram
-//! is exactly the sum of the venue histograms.
+//! The server executes **single-venue** batches (the venue-sharded
+//! scheduler), so the per-venue batch-size histograms are the direct
+//! observability of venue-affine coalescing.
 //!
-//! Latencies land in power-of-two microsecond buckets (bucket `i` holds
-//! `[2^i, 2^(i+1))` µs), which bounds the memory at a fixed 40 counters
-//! regardless of traffic volume; a reported percentile is interpolated
-//! within its bucket by rank (see [`hist_quantile`] for the error bound).
+//! Latencies land in the power-of-two microsecond buckets of
+//! [`stone_obs::metrics::pow2_bucket`] (bucket `i` holds `[2^i, 2^(i+1))`
+//! µs), which bounds the memory at a fixed 40 counters regardless of
+//! traffic volume; a reported percentile is interpolated within its bucket
+//! by rank (see [`hist_quantile`] for the error bound).
 //!
 //! Snapshots also render as Prometheus-style exposition text
 //! ([`StatsSnapshot::exposition`]) using the shared `stone-obs` format
 //! helpers, so the wire admin endpoint, the loadgen and any scrape
 //! tooling all read one canonical shape.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-use stone_obs::metrics::{write_pow2_histogram, write_sample, write_type, HIST_BUCKETS};
-
-/// Number of power-of-two latency buckets (2^39 µs ≈ 6.4 days — anything
-/// above clamps into the last bucket). Pinned to the `stone-obs` histogram
-/// width so snapshots render through the shared exposition helpers.
-const LATENCY_BUCKETS: usize = HIST_BUCKETS;
-
-/// Index of the power-of-two microsecond bucket a latency falls into.
-fn latency_bucket(latency: Duration) -> usize {
-    let micros = latency.as_micros().max(1) as u64;
-    (63 - micros.leading_zeros() as usize).min(LATENCY_BUCKETS - 1)
-}
+use stone_obs::metrics::{
+    pow2_bucket, write_pow2_histogram, write_sample, write_type, HIST_BUCKETS,
+};
 
 /// The `q`-quantile of a power-of-two bucket histogram, interpolated
-/// within the bucket by rank. Shared by the aggregate and per-venue views.
+/// within the bucket by rank. Shared by the summed and per-venue views.
 ///
 /// The decisive request has rank `ceil(q · total)`, clamped to
 /// `[1, total]` — so `q = 0` resolves to the fastest recorded request and
@@ -107,8 +98,8 @@ fn hist_mean_batch(hist: &[u64]) -> f64 {
     requests as f64 / batches as f64
 }
 
-/// Live counters of one venue's traffic — same recording discipline as the
-/// aggregate block, one instance per venue ever seen by a submit path.
+/// Live counters of one venue's traffic, one instance per venue ever seen
+/// by a submit.
 #[derive(Debug)]
 pub(crate) struct VenueStats {
     /// Requests currently enqueued or being executed.
@@ -132,11 +123,11 @@ pub(crate) struct VenueStats {
     /// `batch_hist[s - 1]` counts executed single-venue batches of size `s`.
     batch_hist: Vec<AtomicU64>,
     /// Power-of-two microsecond latency buckets (enqueue → reply).
-    latency_hist: [AtomicU64; LATENCY_BUCKETS],
+    latency_hist: [AtomicU64; HIST_BUCKETS],
 }
 
 impl VenueStats {
-    fn new(max_batch: usize) -> Self {
+    pub(crate) fn new(max_batch: usize) -> Self {
         Self {
             queue_depth: AtomicUsize::new(0),
             enqueued: AtomicU64::new(0),
@@ -155,13 +146,6 @@ impl VenueStats {
     pub(crate) fn record_enqueued(&self) {
         self.enqueued.fetch_add(1, Ordering::Relaxed);
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reverts a [`VenueStats::record_enqueued`] whose push never reached
-    /// the sub-queue (shed or shutting down).
-    pub(crate) fn record_enqueue_aborted(&self) {
-        self.enqueued.fetch_sub(1, Ordering::Relaxed);
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_shed_global(&self) {
@@ -196,7 +180,8 @@ impl VenueStats {
     pub(crate) fn record_completed(&self, latency: Duration) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
         self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency_hist[latency_bucket(latency)].fetch_add(1, Ordering::Relaxed);
+        let bucket = pow2_bucket(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX));
+        self.latency_hist[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self, venue: &str) -> VenueStatsSnapshot {
@@ -213,121 +198,6 @@ impl VenueStats {
             fast_failed: self.fast_failed.load(Ordering::Relaxed),
             batch_hist: self.batch_hist.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
             latency_hist: self.latency_hist.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        }
-    }
-}
-
-/// Shared live counters of one [`crate::LocalizationServer`].
-#[derive(Debug)]
-pub(crate) struct ServerStats {
-    /// Requests currently enqueued or being executed.
-    queue_depth: AtomicUsize,
-    /// Requests accepted into the queue since startup.
-    enqueued: AtomicU64,
-    /// Requests answered (successfully or with a per-request error).
-    completed: AtomicU64,
-    /// Requests rejected at the door because a bounded queue (global or
-    /// per-venue) was full.
-    rejected: AtomicU64,
-    /// Requests whose deadline expired before a batch executed them.
-    expired: AtomicU64,
-    /// Batches whose model call panicked (isolated; failed as `Internal`).
-    panicked_batches: AtomicU64,
-    /// `batch_hist[s - 1]` counts executed batches of size `s`.
-    batch_hist: Vec<AtomicU64>,
-    /// Power-of-two microsecond latency buckets (enqueue → reply).
-    latency_hist: [AtomicU64; LATENCY_BUCKETS],
-    /// Per-venue breakdowns, created lazily on a venue's first submit.
-    venues: RwLock<HashMap<String, Arc<VenueStats>>>,
-    /// Histogram width for lazily created venue blocks.
-    max_batch: usize,
-}
-
-impl ServerStats {
-    pub(crate) fn new(max_batch: usize) -> Self {
-        Self {
-            queue_depth: AtomicUsize::new(0),
-            enqueued: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            panicked_batches: AtomicU64::new(0),
-            batch_hist: (0..max_batch).map(|_| AtomicU64::new(0)).collect(),
-            latency_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            venues: RwLock::new(HashMap::new()),
-            max_batch,
-        }
-    }
-
-    /// The venue's counter block, created on first touch. Hot path: one
-    /// read-lock + `Arc` clone per request (submit paths look it up once
-    /// and thread the `Arc` through).
-    pub(crate) fn venue(&self, venue: &str) -> Arc<VenueStats> {
-        if let Some(v) = self.venues.read().unwrap_or_else(|e| e.into_inner()).get(venue) {
-            return Arc::clone(v);
-        }
-        let mut venues = self.venues.write().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(
-            venues
-                .entry(venue.to_string())
-                .or_insert_with(|| Arc::new(VenueStats::new(self.max_batch))),
-        )
-    }
-
-    pub(crate) fn record_enqueued(&self) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Reverts a [`ServerStats::record_enqueued`] whose send never reached
-    /// the queue (channel full or disconnected).
-    pub(crate) fn record_enqueue_aborted(&self) {
-        self.enqueued.fetch_sub(1, Ordering::Relaxed);
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_expired(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_panicked_batch(&self) {
-        self.panicked_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_batch(&self, size: usize) {
-        debug_assert!(size >= 1 && size <= self.batch_hist.len());
-        self.batch_hist[size - 1].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_completed(&self, latency: Duration) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency_hist[latency_bucket(latency)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        let mut venues: Vec<VenueStatsSnapshot> = self
-            .venues
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(name, v)| v.snapshot(name))
-            .collect();
-        venues.sort_by(|a, b| a.venue.cmp(&b.venue));
-        StatsSnapshot {
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            panicked_batches: self.panicked_batches.load(Ordering::Relaxed),
-            batch_hist: self.batch_hist.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            latency_hist: self.latency_hist.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            venues,
         }
     }
 }
@@ -420,7 +290,9 @@ impl VenueStatsSnapshot {
     }
 }
 
-/// A point-in-time copy of a server's counters.
+/// A point-in-time copy of a server's counters. Every field but `venues`
+/// is the sum of the same field over `venues` (`rejected` sums both shed
+/// causes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Requests currently enqueued or being executed.
@@ -431,8 +303,8 @@ pub struct StatsSnapshot {
     pub completed: u64,
     /// Requests rejected because a bounded queue was full — global capacity
     /// and per-venue cap rejections both land here
-    /// ([`crate::ServerHandle::try_locate`] backpressure); the per-venue
-    /// entries in [`StatsSnapshot::venues`] split the two causes.
+    /// ([`crate::ServerHandle::try_submit_with`] backpressure); the
+    /// per-venue entries in [`StatsSnapshot::venues`] split the two causes.
     pub rejected: u64,
     /// Requests whose deadline expired before a batch executed them, across
     /// all venues.
@@ -446,11 +318,46 @@ pub struct StatsSnapshot {
     /// requests whose enqueue→reply latency fell in `[2^i, 2^(i+1))` µs.
     pub latency_hist: Vec<u64>,
     /// Per-venue breakdowns, sorted by venue name. A venue appears once any
-    /// submit path has touched it (including submits that were shed).
+    /// submit has touched it (including submits that were shed).
     pub venues: Vec<VenueStatsSnapshot>,
 }
 
+/// Adds `src` into `dst` element-wise.
+fn add_into(dst: &mut [u64], src: &[u64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
 impl StatsSnapshot {
+    /// Sums per-venue snapshots (sorted by venue name) into the aggregate
+    /// view; `max_batch` sizes the batch histogram when no venue exists yet.
+    pub(crate) fn from_venues(venues: Vec<VenueStatsSnapshot>, max_batch: usize) -> Self {
+        let mut sum = StatsSnapshot {
+            queue_depth: 0,
+            enqueued: 0,
+            completed: 0,
+            rejected: 0,
+            expired: 0,
+            panicked_batches: 0,
+            batch_hist: vec![0; max_batch],
+            latency_hist: vec![0; HIST_BUCKETS],
+            venues: Vec::new(),
+        };
+        for v in &venues {
+            sum.queue_depth += v.queue_depth;
+            sum.enqueued += v.enqueued;
+            sum.completed += v.completed;
+            sum.rejected += v.shed();
+            sum.expired += v.expired;
+            sum.panicked_batches += v.panicked_batches;
+            add_into(&mut sum.batch_hist, &v.batch_hist);
+            add_into(&mut sum.latency_hist, &v.latency_hist);
+        }
+        sum.venues = venues;
+        sum
+    }
+
     /// Number of batches executed.
     #[must_use]
     pub fn batches(&self) -> u64 {
@@ -618,13 +525,18 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
+    /// The summed snapshot of one venue named "v".
+    fn one(v: &VenueStats, max_batch: usize) -> StatsSnapshot {
+        StatsSnapshot::from_venues(vec![v.snapshot("v")], max_batch)
+    }
+
     #[test]
     fn batch_histogram_counts_by_size() {
-        let stats = ServerStats::new(4);
-        stats.record_batch(1);
-        stats.record_batch(3);
-        stats.record_batch(3);
-        let snap = stats.snapshot();
+        let v = VenueStats::new(4);
+        v.record_batch(1);
+        v.record_batch(3);
+        v.record_batch(3);
+        let snap = one(&v, 4);
         assert_eq!(snap.batch_hist, vec![1, 0, 2, 0]);
         assert_eq!(snap.batches(), 3);
         assert_eq!(snap.coalesced_batches(), 2);
@@ -634,12 +546,12 @@ mod tests {
 
     #[test]
     fn queue_depth_tracks_enqueue_and_complete() {
-        let stats = ServerStats::new(2);
-        stats.record_enqueued();
-        stats.record_enqueued();
-        assert_eq!(stats.snapshot().queue_depth, 2);
-        stats.record_completed(Duration::from_micros(10));
-        let snap = stats.snapshot();
+        let v = VenueStats::new(2);
+        v.record_enqueued();
+        v.record_enqueued();
+        assert_eq!(one(&v, 2).queue_depth, 2);
+        v.record_completed(Duration::from_micros(10));
+        let snap = one(&v, 2);
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.enqueued, 2);
         assert_eq!(snap.completed, 1);
@@ -647,13 +559,13 @@ mod tests {
 
     #[test]
     fn latency_quantiles_interpolate_within_buckets() {
-        let stats = ServerStats::new(1);
+        let v = VenueStats::new(1);
         // 99 fast requests (~8 µs bucket [8, 16)), 1 slow (~1024 µs).
         for _ in 0..99 {
-            stats.record_completed(Duration::from_micros(9));
+            v.record_completed(Duration::from_micros(9));
         }
-        stats.record_completed(Duration::from_micros(1500));
-        let snap = stats.snapshot();
+        v.record_completed(Duration::from_micros(1500));
+        let snap = one(&v, 1);
         // Rank ceil(0.5 * 100) = 50, the 50th of 99 bucket occupants:
         // 8 µs · (1 + 50/99) = 12040.40… ns.
         assert_eq!(snap.p50(), Some(Duration::from_nanos(12040)));
@@ -665,12 +577,12 @@ mod tests {
 
     #[test]
     fn extreme_quantiles_clamp_to_first_and_last_rank() {
-        let stats = ServerStats::new(1);
+        let v = VenueStats::new(1);
         // Four records in the [8, 16) µs bucket.
         for _ in 0..4 {
-            stats.record_completed(Duration::from_micros(9));
+            v.record_completed(Duration::from_micros(9));
         }
-        let snap = stats.snapshot();
+        let snap = one(&v, 1);
         // q = 0 → rank clamps to 1 of 4: 8 µs · (1 + 1/4) = 10 µs.
         assert_eq!(snap.latency_quantile(0.0), Some(Duration::from_micros(10)));
         // q = 1 → rank 4 of 4: the bucket's 16 µs upper edge.
@@ -679,33 +591,33 @@ mod tests {
 
     #[test]
     fn absurd_latencies_clamp_into_top_bucket() {
-        let stats = ServerStats::new(1);
+        let v = VenueStats::new(1);
         // ~116 days — far beyond the 2^39 µs last bucket's lower edge.
-        stats.record_completed(Duration::from_secs(10_000_000));
-        let snap = stats.snapshot();
-        assert_eq!(snap.latency_hist[LATENCY_BUCKETS - 1], 1);
+        v.record_completed(Duration::from_secs(10_000_000));
+        let snap = one(&v, 1);
+        assert_eq!(snap.latency_hist[HIST_BUCKETS - 1], 1);
         // Sole occupant interpolates to the top bucket's 2^40 µs upper edge.
         assert_eq!(snap.latency_quantile(1.0), Some(Duration::from_micros(1 << 40)));
     }
 
     #[test]
     fn exposition_round_trips_through_the_obs_parser() {
-        let stats = ServerStats::new(4);
-        stats.record_enqueued();
-        stats.record_enqueued();
-        stats.record_batch(2);
-        stats.record_completed(Duration::from_micros(9));
-        stats.record_completed(Duration::from_micros(1500));
-        stats.record_rejected();
-        let v = stats.venue("hall-a");
-        v.record_enqueued();
-        v.record_batch(1);
-        v.record_completed(Duration::from_micros(9));
-        v.record_shed_venue();
-        v.record_breaker_trip();
+        let a = VenueStats::new(4);
+        a.record_enqueued();
+        a.record_enqueued();
+        a.record_batch(2);
+        a.record_completed(Duration::from_micros(9));
+        a.record_completed(Duration::from_micros(1500));
+        a.record_shed_global();
+        let b = VenueStats::new(4);
+        b.record_enqueued();
+        b.record_batch(1);
+        b.record_completed(Duration::from_micros(9));
+        b.record_shed_venue();
+        b.record_breaker_trip();
 
-        let text = stats.snapshot().exposition();
-        let samples = stone_obs::parse_exposition(&text).expect("exposition parses");
+        let snap = StatsSnapshot::from_venues(vec![a.snapshot("hall-a"), b.snapshot("hall-b")], 4);
+        let samples = stone_obs::parse_exposition(&snap.exposition()).expect("exposition parses");
         let find = |name: &str, labels: &[(&str, &str)]| -> f64 {
             samples
                 .iter()
@@ -717,65 +629,68 @@ mod tests {
                 .unwrap_or_else(|| panic!("sample {name}{labels:?} missing"))
                 .value
         };
-        assert_eq!(find("stone_serve_enqueued_total", &[]), 2.0);
-        assert_eq!(find("stone_serve_completed_total", &[]), 2.0);
-        assert_eq!(find("stone_serve_rejected_total", &[]), 1.0);
-        assert_eq!(find("stone_serve_batches_total", &[]), 1.0);
-        assert_eq!(find("stone_serve_mean_batch_size", &[]), 2.0);
-        assert_eq!(find("stone_serve_enqueued_total", &[("venue", "hall-a")]), 1.0);
-        assert_eq!(find("stone_serve_shed_total", &[("venue", "hall-a"), ("cause", "venue")]), 1.0);
-        assert_eq!(find("stone_serve_breaker_trips_total", &[("venue", "hall-a")]), 1.0);
-        // Histogram lines are cumulative: both aggregate completions are
-        // under the +Inf bucket, only the fast one under le="16".
-        assert_eq!(find("stone_serve_latency_us_count", &[]), 2.0);
-        assert_eq!(find("stone_serve_latency_us_bucket", &[("le", "+Inf")]), 2.0);
-        assert_eq!(find("stone_serve_latency_us_bucket", &[("le", "16")]), 1.0);
+        assert_eq!(find("stone_serve_enqueued_total", &[]), 3.0);
+        assert_eq!(find("stone_serve_completed_total", &[]), 3.0);
+        assert_eq!(find("stone_serve_rejected_total", &[]), 2.0);
+        assert_eq!(find("stone_serve_batches_total", &[]), 2.0);
+        assert_eq!(find("stone_serve_mean_batch_size", &[]), 1.5);
+        assert_eq!(find("stone_serve_enqueued_total", &[("venue", "hall-a")]), 2.0);
+        assert_eq!(find("stone_serve_shed_total", &[("venue", "hall-b"), ("cause", "venue")]), 1.0);
+        assert_eq!(find("stone_serve_breaker_trips_total", &[("venue", "hall-b")]), 1.0);
+        // Histogram lines are cumulative: all three completions are under
+        // the +Inf bucket, only the two fast ones under le="16".
+        assert_eq!(find("stone_serve_latency_us_count", &[]), 3.0);
+        assert_eq!(find("stone_serve_latency_us_bucket", &[("le", "+Inf")]), 3.0);
+        assert_eq!(find("stone_serve_latency_us_bucket", &[("le", "16")]), 2.0);
     }
 
     #[test]
     fn empty_stats_have_no_quantiles() {
-        let snap = ServerStats::new(1).snapshot();
+        let snap = StatsSnapshot::from_venues(Vec::new(), 1);
         assert_eq!(snap.p50(), None);
         assert_eq!(snap.mean_batch_size(), 0.0);
+        assert_eq!(snap.batch_hist, vec![0]);
         assert!(snap.venues.is_empty());
     }
 
     #[test]
     fn sub_microsecond_latencies_clamp_into_first_bucket() {
-        let stats = ServerStats::new(1);
-        stats.record_completed(Duration::from_nanos(1));
-        assert_eq!(stats.snapshot().latency_quantile(1.0), Some(Duration::from_micros(2)));
+        let v = VenueStats::new(1);
+        v.record_completed(Duration::from_nanos(1));
+        assert_eq!(one(&v, 1).latency_quantile(1.0), Some(Duration::from_micros(2)));
     }
 
     #[test]
-    fn venue_breakdowns_split_shed_causes_and_sort_by_name() {
-        let stats = ServerStats::new(4);
-        let b = stats.venue("b");
-        let a = stats.venue("a");
+    fn aggregates_sum_venues_and_split_shed_causes() {
+        let a = VenueStats::new(4);
         a.record_enqueued();
         a.record_batch(1);
         a.record_completed(Duration::from_micros(9));
+        a.record_expired();
+        let b = VenueStats::new(4);
         b.record_enqueued();
-        b.record_enqueue_aborted();
         b.record_shed_global();
         b.record_shed_venue();
         b.record_shed_venue();
+        b.record_panicked_batch();
 
-        let snap = stats.snapshot();
+        let snap = StatsSnapshot::from_venues(vec![a.snapshot("a"), b.snapshot("b")], 4);
         let names: Vec<&str> = snap.venues.iter().map(|v| v.venue.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
-        let a = snap.venue("a").expect("venue a tracked");
-        assert_eq!((a.enqueued, a.completed, a.queue_depth), (1, 1, 0));
-        assert_eq!(a.batch_hist, vec![1, 0, 0, 0]);
-        assert!((a.mean_batch_size() - 1.0).abs() < 1e-12);
-        assert_eq!(a.p50(), Some(Duration::from_micros(16)));
-        let b = snap.venue("b").expect("venue b tracked");
-        assert_eq!((b.enqueued, b.queue_depth), (0, 0), "aborted enqueue reverted");
-        assert_eq!((b.shed_global, b.shed_venue, b.shed()), (1, 2, 3));
-        assert_eq!(b.p50(), None);
+        let va = snap.venue("a").expect("venue a tracked");
+        assert_eq!((va.enqueued, va.completed, va.queue_depth), (1, 1, 0));
+        assert_eq!(va.batch_hist, vec![1, 0, 0, 0]);
+        assert!((va.mean_batch_size() - 1.0).abs() < 1e-12);
+        assert_eq!(va.p50(), Some(Duration::from_micros(16)));
+        let vb = snap.venue("b").expect("venue b tracked");
+        assert_eq!((vb.enqueued, vb.queue_depth), (1, 1));
+        assert_eq!((vb.shed_global, vb.shed_venue, vb.shed()), (1, 2, 3));
+        assert_eq!(vb.p50(), None);
         assert!(snap.venue("c").is_none());
-        // The same Arc is returned on re-lookup.
-        stats.venue("a").record_enqueued();
-        assert_eq!(stats.snapshot().venue("a").expect("venue a").enqueued, 2);
+        // Every aggregate is the sum over the venues.
+        assert_eq!((snap.enqueued, snap.completed, snap.queue_depth), (2, 1, 1));
+        assert_eq!((snap.rejected, snap.expired, snap.panicked_batches), (3, 1, 1));
+        assert_eq!(snap.batch_hist, vec![1, 0, 0, 0]);
+        assert_eq!(snap.latency_hist, va.latency_hist);
     }
 }

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use stone::{KnnMode, StoneBuilder, StoneConfig, StoneLocalizer, TrainerConfig};
 use stone_dataset::{office_suite, SuiteConfig};
-use stone_serve::{LocalizationServer, ModelRegistry, ServeError, ServerConfig};
+use stone_serve::{LocalizationServer, ModelRegistry, ServeError, ServerConfig, Submit};
 
 const CAPACITY: usize = 4;
 const SUBMITTED: usize = 9;
@@ -63,7 +63,7 @@ fn overflow_beyond_capacity_is_shed_exactly() {
     let mut returns = Vec::new();
     for i in 0..SUBMITTED {
         let outcomes = Arc::clone(&outcomes);
-        returns.push(handle.try_submit_with("office", &scan, move |result| {
+        returns.push(handle.try_submit_with(Submit::new("office", &scan), move |result| {
             outcomes.lock().expect("outcomes").push((i, result.map(|r| r.model_version)));
         }));
     }
@@ -84,7 +84,7 @@ fn overflow_beyond_capacity_is_shed_exactly() {
     }
     let stats = server.stats();
     assert_eq!(stats.rejected as usize, SUBMITTED - CAPACITY);
-    assert_eq!(stats.enqueued as usize, CAPACITY, "aborted enqueues are reverted");
+    assert_eq!(stats.enqueued as usize, CAPACITY, "a shed is never counted as enqueued");
     assert_eq!(stats.queue_depth, CAPACITY);
     assert_eq!(stats.completed, 0, "nothing executed while paused");
 
@@ -135,7 +135,7 @@ fn callbacks_fire_exactly_once_across_shutdown() {
         let fired = Arc::clone(&fired);
         let ok = Arc::clone(&ok);
         handle
-            .try_submit_with("office", &scan, move |result| {
+            .try_submit_with(Submit::new("office", &scan), move |result| {
                 fired.fetch_add(1, Ordering::SeqCst);
                 if result.is_ok() {
                     ok.fetch_add(1, Ordering::SeqCst);
@@ -154,7 +154,7 @@ fn callbacks_fire_exactly_once_across_shutdown() {
     // After shutdown the callback still fires exactly once — inline, with
     // ShuttingDown.
     let fired_in_cb = Arc::clone(&fired);
-    let r = handle.try_submit_with("office", &scan, move |result| {
+    let r = handle.try_submit_with(Submit::new("office", &scan), move |result| {
         assert!(matches!(result, Err(ServeError::ShuttingDown)));
         fired_in_cb.fetch_add(1, Ordering::SeqCst);
     });

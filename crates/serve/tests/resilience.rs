@@ -6,14 +6,15 @@
 //! serving. The breaker lifecycle is pinned across `STONE_THREADS` budgets
 //! of 1, 2 and 8.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use stone::{KnnMode, StoneBuilder, StoneConfig, StoneLocalizer, TrainerConfig};
 use stone_dataset::{office_suite, SuiteConfig};
 use stone_par::with_threads;
 use stone_serve::{
-    corrupt_blob, ChaosConfig, LocalizationServer, ModelRegistry, ServeError, ServerConfig,
+    corrupt_blob, ChaosConfig, LocalizationServer, LocateResponse, ModelRegistry, ServeError,
+    ServerConfig, ServerHandle, Submit,
 };
 
 fn tiny_localizer(train: &stone_dataset::FingerprintDataset, seed: u64) -> StoneLocalizer {
@@ -45,6 +46,18 @@ fn quick_config() -> ServerConfig {
     ServerConfig { max_batch: 16, max_wait: Duration::ZERO, ..ServerConfig::default() }
 }
 
+/// Submits `scan` with a deadline budget; the receiver yields its answer.
+fn submit_deadline(
+    handle: &ServerHandle,
+    scan: &[f32],
+    deadline: Duration,
+) -> mpsc::Receiver<Result<LocateResponse, ServeError>> {
+    let (tx, rx) = mpsc::channel();
+    let submit = Submit { deadline: Some(deadline), ..Submit::new("office", scan) };
+    handle.try_submit_with(submit, move |result| drop(tx.send(result))).expect("queue has room");
+    rx
+}
+
 /// Requests whose deadline lapses while queued answer `DeadlineExceeded`
 /// and never occupy a batch slot; requests without a deadline (or with
 /// budget to spare) are untouched. Paused executors make the race-free
@@ -63,18 +76,15 @@ fn expired_requests_never_reach_the_model() {
     let mut doomed = Vec::new();
     let mut alive = Vec::new();
     for _ in 0..3 {
-        doomed.push(
-            handle
-                .submit_deadline("office", &scan, Some(Duration::from_millis(5)))
-                .expect("accepts while paused"),
-        );
+        doomed.push(submit_deadline(&handle, &scan, Duration::from_millis(5)));
         alive.push(handle.submit("office", &scan).expect("accepts while paused"));
     }
     std::thread::sleep(Duration::from_millis(20));
     server.resume();
 
-    for t in doomed {
-        assert_eq!(t.wait().unwrap_err(), ServeError::DeadlineExceeded { venue: "office".into() });
+    for rx in doomed {
+        let result = rx.recv().expect("answered");
+        assert_eq!(result.unwrap_err(), ServeError::DeadlineExceeded { venue: "office".into() });
     }
     for t in alive {
         assert_eq!(t.wait().expect("no-deadline requests answer").model_version, 1);
@@ -103,7 +113,8 @@ fn unexpired_deadlines_do_not_drop_requests() {
     registry.publish_bytes("office", &blob).expect("publish");
     let mut server = LocalizationServer::start(Arc::clone(&registry), quick_config());
     let handle = server.handle();
-    let resp = handle.locate_deadline("office", &scan, Duration::from_secs(30)).expect("in budget");
+    let rx = submit_deadline(&handle, &scan, Duration::from_secs(30));
+    let resp = rx.recv().expect("answered").expect("in budget");
     assert_eq!(resp.model_version, 1);
     let stats = server.stats();
     server.shutdown();

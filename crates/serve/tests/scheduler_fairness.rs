@@ -5,14 +5,17 @@
 //! kernel thread budgets.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use stone::{KnnMode, StoneBuilder, StoneConfig, StoneLocalizer, TrainerConfig};
 use stone_dataset::{office_suite, SuiteConfig};
 use stone_net::{NetClient, NetServer, WireStatus};
 use stone_par::with_threads;
-use stone_serve::{LocalizationServer, ModelRegistry, ServeError, ServerConfig};
+use stone_serve::{
+    LocalizationServer, LocateResponse, ModelRegistry, ServeError, ServerConfig, ServerHandle,
+    Submit,
+};
 
 fn tiny_localizer(train: &stone_dataset::FingerprintDataset, seed: u64) -> StoneLocalizer {
     StoneBuilder::from_config(StoneConfig {
@@ -27,6 +30,17 @@ fn tiny_localizer(train: &stone_dataset::FingerprintDataset, seed: u64) -> Stone
         knn_mode: KnnMode::WeightedRegression,
     })
     .fit(train, seed)
+}
+
+/// A fail-fast submit whose answer arrives on the returned receiver.
+fn try_submit(
+    handle: &ServerHandle,
+    venue: &str,
+    scan: &[f32],
+) -> Result<mpsc::Receiver<Result<LocateResponse, ServeError>>, ServeError> {
+    let (tx, rx) = mpsc::channel();
+    handle.try_submit_with(Submit::new(venue, scan), move |result| drop(tx.send(result)))?;
+    Ok(rx)
 }
 
 /// A registry serving the same tiny model for every named venue, plus a
@@ -70,7 +84,7 @@ fn oldest_first_drains_whole_venues_in_arrival_order() {
         let completions = Arc::clone(&completions);
         let venue_owned = venue.to_string();
         handle
-            .try_submit_with(venue, &scan, move |result| {
+            .try_submit_with(Submit::new(venue, &scan), move |result| {
                 result.expect("answered");
                 completions.lock().expect("completions").push(venue_owned);
             })
@@ -141,7 +155,7 @@ fn deepest_venue_wins_within_the_max_wait_window() {
         let completions = Arc::clone(&completions);
         let venue_owned = venue.to_string();
         handle
-            .try_submit_with(venue, &scan, move |result| {
+            .try_submit_with(Submit::new(venue, &scan), move |result| {
                 result.expect("answered");
                 completions.lock().expect("completions").push(venue_owned);
             })
@@ -278,7 +292,7 @@ fn venue_cap_and_global_capacity_shed_distinctly() {
     // (global capacity still has room).
     let mut tickets = Vec::new();
     for i in 0..4 {
-        match handle.try_submit("a", &scan) {
+        match try_submit(&handle, "a", &scan) {
             Ok(t) => {
                 assert!(i < 2, "submission {i} beyond the venue cap was accepted");
                 tickets.push(t);
@@ -292,11 +306,11 @@ fn venue_cap_and_global_capacity_shed_distinctly() {
     // Venues b, c, d: 2 each — the queue now holds 8 == queue_capacity.
     for venue in ["b", "c", "d"] {
         for _ in 0..2 {
-            tickets.push(handle.try_submit(venue, &scan).expect("fits under both caps"));
+            tickets.push(try_submit(&handle, venue, &scan).expect("fits under both caps"));
         }
     }
     // Venue "e" has an empty sub-queue, but the *global* capacity is gone.
-    assert_eq!(handle.try_submit("e", &scan).unwrap_err(), ServeError::QueueFull);
+    assert_eq!(try_submit(&handle, "e", &scan).unwrap_err(), ServeError::QueueFull);
 
     let stats = server.stats();
     assert_eq!(stats.rejected, 3, "aggregate rejected counts both shed causes");
@@ -305,11 +319,11 @@ fn venue_cap_and_global_capacity_shed_distinctly() {
     assert_eq!((a.shed_venue, a.shed_global), (2, 0));
     let e = stats.venue("e").expect("venue e tracked");
     assert_eq!((e.shed_venue, e.shed_global), (0, 1));
-    assert_eq!(e.enqueued, 0, "aborted enqueue reverted");
+    assert_eq!(e.enqueued, 0, "a shed is never counted as enqueued");
 
     server.resume();
-    for t in tickets {
-        t.wait().expect("accepted request answered");
+    for rx in tickets {
+        rx.recv().expect("answered").expect("accepted request answered");
     }
     let stats = server.stats();
     server.shutdown();
@@ -338,22 +352,22 @@ fn removing_a_venue_with_queued_requests_fails_them_per_request() {
     let handle = server.handle();
 
     let doomed: Vec<_> =
-        (0..3).map(|_| handle.try_submit("doomed", &scan).expect("enqueue")).collect();
+        (0..3).map(|_| try_submit(&handle, "doomed", &scan).expect("enqueue")).collect();
     let office: Vec<_> =
-        (0..2).map(|_| handle.try_submit("office", &scan).expect("enqueue")).collect();
+        (0..2).map(|_| try_submit(&handle, "office", &scan).expect("enqueue")).collect();
 
     assert!(registry.remove("doomed"), "venue was published");
     server.resume();
 
-    for t in doomed {
+    for rx in doomed {
         assert_eq!(
-            t.wait().unwrap_err(),
+            rx.recv().expect("answered").unwrap_err(),
             ServeError::UnknownVenue { venue: "doomed".into() },
             "queued request for the removed venue fails individually"
         );
     }
-    for t in office {
-        t.wait().expect("other venues unaffected by the removal");
+    for rx in office {
+        rx.recv().expect("answered").expect("other venues unaffected by the removal");
     }
     let stats = server.stats();
     server.shutdown();

@@ -41,18 +41,17 @@ fn traced_requests_record_balanced_contiguous_stage_spans() {
         ServerConfig { max_batch: 8, ..Default::default() },
     );
     let handle = server.handle();
-    let venue = handle.venue_handle("office");
 
     // Disabled (the default): requests run untraced and touch the ledger
     // not at all.
     let baseline = span_ledger();
-    venue.locate(&suite.train.records()[0].rssi).expect("untraced locate");
+    handle.locate("office", &suite.train.records()[0].rssi).expect("untraced locate");
     assert_eq!(span_ledger(), baseline, "disabled tracing records nothing");
 
     set_tracing(true);
     let (opened0, closed0) = span_ledger();
     let pending: Vec<_> = (0..16)
-        .map(|i| venue.submit(&suite.train.records()[i % 4].rssi).expect("submit"))
+        .map(|i| handle.submit("office", &suite.train.records()[i % 4].rssi).expect("submit"))
         .collect();
     for p in pending {
         p.wait().expect("traced locate");
