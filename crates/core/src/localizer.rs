@@ -379,8 +379,8 @@ impl StoneLocalizer {
     }
 
     /// Scans per encoder forward pass in the batched online path: large
-    /// enough to amortize per-call overhead across the convolution lowering,
-    /// small enough to bound the im2col working set.
+    /// enough to amortize per-call overhead (weight packing, thread
+    /// dispatch), small enough to bound the activation working set.
     const LOCATE_BATCH: usize = 64;
 
     /// Embeds a batch of raw fingerprints in one encoder forward pass.

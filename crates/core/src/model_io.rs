@@ -251,6 +251,10 @@ fn architecture_f32_count(cfg: &EncoderConfig) -> Option<usize> {
     conv1.checked_add(conv2)?.checked_add(fc)?.checked_add(head)
 }
 
+fn all_finite(values: &[f32]) -> bool {
+    values.iter().all(|v| v.is_finite())
+}
+
 /// Serializes a localizer (see the module docs for the format).
 #[must_use]
 pub fn save(loc: &StoneLocalizer) -> Vec<u8> {
@@ -313,7 +317,9 @@ pub fn save(loc: &StoneLocalizer) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`ModelIoError`]; never panics on hostile input (see the module
-/// docs).
+/// docs). A blob holding a non-finite encoder parameter or reference entry
+/// (embedding or position) is refused with [`ModelIoError::InvalidField`]:
+/// it would make every query's nearest-neighbour ranking fail.
 pub fn load(bytes: &[u8]) -> Result<StoneLocalizer, ModelIoError> {
     if bytes.len() < 8 || &bytes[..4] != MAGIC {
         return Err(ModelIoError::BadHeader);
@@ -400,6 +406,13 @@ pub fn load(bytes: &[u8]) -> Result<StoneLocalizer, ModelIoError> {
     let mut rng = StdRng::seed_from_u64(0);
     let mut net = build_encoder(&enc_cfg, &mut rng);
     load_weights(&mut net, weights)?;
+    // A non-finite weight makes every embedding NaN, and the KNN sweep
+    // cannot rank NaN distances: refuse the model before it serves.
+    if let Some(i) = net.params().iter().position(|p| !all_finite(p.as_slice())) {
+        return Err(ModelIoError::InvalidField {
+            detail: format!("encoder parameter tensor {i} holds a non-finite value"),
+        });
+    }
 
     let entry_count = r.u32()? as usize;
     let dim = r.u32()? as usize;
@@ -410,12 +423,17 @@ pub fn load(bytes: &[u8]) -> Result<StoneLocalizer, ModelIoError> {
     }
     r.check_records(entry_count, 4 + 16 + dim * 4)?;
     let mut knn = EmbeddingKnn::new(cfg.knn_k, cfg.knn_mode);
-    for _ in 0..entry_count {
+    for i in 0..entry_count {
         let rp = RpId(r.u32()?);
         let pos = Point2::new(r.f64()?, r.f64()?);
         let mut emb = Vec::with_capacity(dim);
         for _ in 0..dim {
             emb.push(r.f32()?);
+        }
+        if !(all_finite(&emb) && pos.x.is_finite() && pos.y.is_finite()) {
+            return Err(ModelIoError::InvalidField {
+                detail: format!("reference entry {i} holds a non-finite value"),
+            });
         }
         knn.insert(emb, rp, pos);
     }
@@ -568,6 +586,34 @@ mod tests {
         let loaded = load(&v1).expect("legacy blob loads");
         // Re-serializing the legacy load produces today's sealed format.
         assert_eq!(save(&loaded), v2);
+    }
+
+    #[test]
+    fn rejects_non_finite_weights_and_references() {
+        let loc = tiny_localizer(10);
+        let blob = save(&loc);
+        assert!(load(&blob).is_ok());
+        let f32_at = |b: &[u8], at: usize| f32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+        // The first conv weight: the weight block follows the history
+        // (count at 58, 12 bytes per epoch) and its u32 length; inside it,
+        // magic, version and tensor count (12 bytes) and the first tensor's
+        // rank and two dims (12 bytes) precede the data.
+        let conv_w = 58 + 4 + 12 * loc.encoder().history().len() + 4 + 24;
+        assert_eq!(f32_at(&blob, conv_w), loc.encoder().net().params()[0].as_slice()[0]);
+        // The last reference embedding value sits right before the CRC.
+        let last_ref = blob.len() - 8;
+        let (last_emb, _, _) = loc.knn().entries().last().unwrap();
+        assert_eq!(f32_at(&blob, last_ref), *last_emb.last().unwrap());
+
+        for (at, value) in [(conv_w, f32::NAN), (last_ref, f32::INFINITY)] {
+            let mut bad = blob.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            reseal(&mut bad);
+            assert!(
+                matches!(load(&bad).unwrap_err(), ModelIoError::InvalidField { .. }),
+                "{value} at byte {at} must be refused"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The [`Layer`] trait and its forward-pass [`Cache`].
 
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use stone_tensor::Tensor;
 
 /// Whether a forward pass is part of training or inference.
@@ -59,6 +60,21 @@ pub trait Layer: Send + Sync {
     ///
     /// `rng` is only consulted by stochastic layers in [`Mode::Train`].
     fn forward(&self, x: &Tensor, mode: Mode, rng: &mut StdRng) -> (Tensor, Cache);
+
+    /// Inference pass that takes its input by value and keeps no backward
+    /// state — what [`crate::Sequential::predict`] folds over the layers.
+    ///
+    /// Contract: the result is **bitwise** equal to
+    /// `self.forward(&x, Mode::Infer, rng).0` for every input, thread
+    /// count and matmul backend; an override may only skip work whose
+    /// result `predict` drops (the cache, copies of the input). The
+    /// default is exactly that forward pass. Overrides reuse the input's
+    /// buffer where they can: identity layers return it, element-wise and
+    /// shape layers rewrite it in place.
+    fn infer(&self, x: Tensor) -> Tensor {
+        // Inference never samples, so any seed serves.
+        self.forward(&x, Mode::Infer, &mut StdRng::seed_from_u64(0)).0
+    }
 
     /// Propagates `grad_out` backwards through the layer.
     ///

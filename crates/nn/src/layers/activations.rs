@@ -24,6 +24,11 @@ impl Layer for Relu {
         (x.map(|v| v.max(0.0)), Cache::one(x.clone()))
     }
 
+    fn infer(&self, mut x: Tensor) -> Tensor {
+        x.map_in_place(|v| v.max(0.0));
+        x
+    }
+
     fn backward(&self, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
         let x = &cache.tensors[0];
         let gx = grad_out

@@ -1,8 +1,9 @@
-//! 2-D convolution over NCHW batches via im2col lowering.
+//! 2-D convolution over NCHW batches: a fused windows-to-tiles product
+//! forward, im2col lowering backward.
 
 use rand::rngs::StdRng;
 use stone_tensor::{
-    col2im_from, im2col_into, matmul, matmul_a_bt, matmul_at_b, Conv2dGeometry, Tensor,
+    col2im_from, conv2d, im2col_into, matmul_a_bt, matmul_at_b, Conv2dGeometry, Tensor,
 };
 
 use crate::layer::{Cache, Layer, Mode};
@@ -11,10 +12,12 @@ use crate::layer::{Cache, Layer, Mode};
 ///
 /// The STONE encoder stacks two of these with 2×2 kernels, stride 1 and
 /// 64/128 filters (Sec. IV.D, Fig. 1 of the paper). Weights are stored as a
-/// `[out_channels, in_channels * kh * kw]` matrix and the whole batch is
-/// lowered into one `[col_rows, batch · out_plane]` column matrix, so each
-/// forward or backward pass is a single matrix product — large enough to
-/// clear the tensor crate's parallel dispatch threshold — rather than
+/// `[out_channels, in_channels * kh * kw]` matrix. The forward pass, in
+/// every mode, is one fused [`stone_tensor::conv2d`] product: input windows
+/// are packed straight into the matmul microkernel's panels and each tile
+/// is stored with its bias straight into NCHW. The backward pass lowers
+/// the whole batch into one `[col_rows, batch · out_plane]` column matrix,
+/// so each gradient product is a single matrix product rather than
 /// `batch` per-sample ones.
 ///
 /// # Example
@@ -72,9 +75,9 @@ impl Conv2d {
 
     /// Lowers the whole NCHW batch into one `[col_rows, batch · out_plane]`
     /// column matrix (sample `n` occupies columns `n * out_plane ..`), so
-    /// each layer pass is a single matrix product big enough to clear the
-    /// tensor crate's parallel threshold instead of `batch` small serial
-    /// ones.
+    /// each backward product is a single matrix product big enough to
+    /// clear the tensor crate's parallel threshold instead of `batch` small
+    /// serial ones.
     fn lower_batch(&self, x: &Tensor, g: &Conv2dGeometry) -> Tensor {
         let batch = x.shape()[0];
         let sample_len = self.in_channels * g.in_h * g.in_w;
@@ -113,31 +116,22 @@ impl Conv2d {
         )
         .expect("convolution geometry must be valid for the given input")
     }
+
+    /// The fused product shared by `forward` and `infer`.
+    fn product(&self, x: &Tensor) -> Tensor {
+        conv2d(x, &self.weight, self.bias.as_slice(), &self.geometry(x))
+    }
 }
 
 impl Layer for Conv2d {
     fn forward(&self, x: &Tensor, _mode: Mode, _rng: &mut StdRng) -> (Tensor, Cache) {
-        let g = self.geometry(x);
-        let batch = x.shape()[0];
-        let out_plane = g.col_cols();
-        let cols = self.lower_batch(x, &g);
-        // One [OC, batch · out_plane] product, scattered back to NCHW
-        // (the product is sample-major within each row) with the bias added.
-        let yw = matmul(&self.weight, &cols);
-        let mut y = Tensor::zeros(vec![batch, self.out_channels, g.out_h, g.out_w]);
-        let yd = y.as_mut_slice();
-        for oc in 0..self.out_channels {
-            let b = self.bias.as_slice()[oc];
-            let src = yw.row(oc);
-            for n in 0..batch {
-                let dst_base = (n * self.out_channels + oc) * out_plane;
-                let dst = &mut yd[dst_base..dst_base + out_plane];
-                for (d, &s) in dst.iter_mut().zip(&src[n * out_plane..(n + 1) * out_plane]) {
-                    *d = s + b;
-                }
-            }
-        }
-        (y, Cache::one(x.clone()))
+        // Every mode keeps the input: backward re-lowers it, and an
+        // Infer-mode cache must still serve `gradcheck`.
+        (self.product(x), Cache::one(x.clone()))
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
+        self.product(&x)
     }
 
     fn backward(&self, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
@@ -152,10 +146,9 @@ impl Layer for Conv2d {
             "Conv2d backward gradient shape mismatch"
         );
 
-        // Batched twin of `forward`: rebuild the whole-batch column matrix
-        // and gather grad_out into the matching [OC, batch · out_plane]
-        // layout, so each of the three gradient products runs once per
-        // layer pass.
+        // Lower the whole batch into one column matrix and gather grad_out
+        // into the matching [OC, batch · out_plane] layout, so each of the
+        // gradient products runs once per layer pass.
         let cols = self.lower_batch(x, &g);
         let mut gn_all = Tensor::zeros(vec![self.out_channels, batch * out_plane]);
         let gd = grad_out.as_slice();

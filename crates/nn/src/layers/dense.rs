@@ -75,10 +75,9 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
-}
 
-impl Layer for Dense {
-    fn forward(&self, x: &Tensor, _mode: Mode, _rng: &mut StdRng) -> (Tensor, Cache) {
+    /// `x · W + b`, the product shared by `forward` and `infer`.
+    fn affine(&self, x: &Tensor) -> Tensor {
         assert_eq!(
             x.cols(),
             self.in_features,
@@ -92,7 +91,17 @@ impl Layer for Dense {
                 *v += b;
             }
         }
-        (y, Cache::one(x.clone()))
+        y
+    }
+}
+
+impl Layer for Dense {
+    fn forward(&self, x: &Tensor, _mode: Mode, _rng: &mut StdRng) -> (Tensor, Cache) {
+        (self.affine(x), Cache::one(x.clone()))
+    }
+
+    fn infer(&self, x: Tensor) -> Tensor {
+        self.affine(&x)
     }
 
     fn backward(&self, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {

@@ -72,6 +72,10 @@ impl Layer for Dropout {
         }
     }
 
+    fn infer(&self, x: Tensor) -> Tensor {
+        x
+    }
+
     fn backward(&self, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
         match cache.tensors.first() {
             None => (grad_out.clone(), Vec::new()), // inference cache

@@ -60,6 +60,10 @@ impl Layer for GaussianNoise {
         }
     }
 
+    fn infer(&self, x: Tensor) -> Tensor {
+        x
+    }
+
     fn backward(&self, _cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
         (grad_out.clone(), Vec::new())
     }

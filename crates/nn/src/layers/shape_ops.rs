@@ -23,13 +23,21 @@ impl Flatten {
     }
 }
 
+/// `[batch, prod(rest)]` for a `[batch, ...]` input.
+fn flat_shape(x: &Tensor) -> Vec<usize> {
+    assert!(x.rank() >= 2, "Flatten expects rank >= 2, got {}", x.rank());
+    vec![x.shape()[0], x.shape()[1..].iter().product()]
+}
+
 impl Layer for Flatten {
     fn forward(&self, x: &Tensor, _mode: Mode, _rng: &mut StdRng) -> (Tensor, Cache) {
-        assert!(x.rank() >= 2, "Flatten expects rank >= 2, got {}", x.rank());
-        let batch = x.shape()[0];
-        let features: usize = x.shape()[1..].iter().product();
-        let y = x.reshape(vec![batch, features]).expect("flatten preserves element count");
+        let y = x.reshape(flat_shape(x)).expect("flatten preserves element count");
         (y, Cache { tensors: Vec::new(), shape: x.shape().to_vec() })
+    }
+
+    fn infer(&self, mut x: Tensor) -> Tensor {
+        x.reshape_in_place(flat_shape(&x)).expect("flatten preserves element count");
+        x
     }
 
     fn backward(&self, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {

@@ -1,7 +1,6 @@
 //! Sequential composition of layers.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use stone_tensor::Tensor;
 
 use crate::layer::{Cache, Layer, Mode};
@@ -98,12 +97,13 @@ impl Sequential {
 
     /// Deterministic inference pass (stochastic layers are identities, so no
     /// entropy is consumed).
+    ///
+    /// Folds [`Layer::infer`] over the layers, so a layer that overrides
+    /// it builds no backward cache and copies no input; the result is
+    /// bitwise equal to `self.forward(x, Mode::Infer, rng)`.
     #[must_use]
     pub fn predict(&self, x: &Tensor) -> Tensor {
-        // Inference never samples; the seed is irrelevant but the signature
-        // of `Layer::forward` requires an RNG.
-        let mut rng = StdRng::seed_from_u64(0);
-        self.forward(x, Mode::Infer, &mut rng)
+        self.layers.iter().fold(x.clone(), |cur, layer| layer.infer(cur))
     }
 
     /// Training forward pass returning the output and per-layer caches.
@@ -174,6 +174,7 @@ impl std::fmt::Debug for Sequential {
 mod tests {
     use super::*;
     use crate::layers::{Dense, Flatten, Relu};
+    use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0)

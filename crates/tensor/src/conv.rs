@@ -1,9 +1,11 @@
 //! `im2col`/`col2im` lowering for 2-D convolutions.
 //!
-//! The convolution layers in `stone-nn` lower each sample of an NCHW batch
-//! to a column matrix and express the convolution as a single matrix product
-//! (the standard im2col trick). [`col2im`] is the exact adjoint scatter-add
-//! used for input gradients.
+//! [`im2col`] lowers one sample of an NCHW batch to a column matrix, which
+//! expresses the convolution as a matrix product (the standard im2col
+//! trick). The convolution layers in `stone-nn` use it for their gradient
+//! products; the forward pass runs [`crate::conv2d`], which computes the
+//! same product bit for bit without building the matrix. [`col2im`] is the
+//! exact adjoint scatter-add used for input gradients.
 
 use crate::{Result, Tensor, TensorError};
 

@@ -7,22 +7,28 @@
 //! * [`matmul_at_b`] — `C = Aᵀ · B` (used for input gradients)
 //! * [`matmul_a_bt`] — `C = A · Bᵀ` (used for weight gradients)
 //!
+//! A fourth, [`conv2d`], is the convolution forward product with its
+//! `im2col` lowering fused into the packing step (see [`conv2d`]'s module).
+//!
 //! # Execution model
 //!
-//! All three run the same register-tiled pipeline:
+//! All of them run the same register-tiled pipeline:
 //!
-//! 1. **Pack** ([`pack`]): the B operand is repacked once per call into
-//!    [`microkernel::LANES`]-column panels; each worker repacks the A rows
-//!    of its current tile. Packing fuses any transpose the variant needs,
-//!    so the kernel's inner loop sees two contiguous streams regardless of
-//!    the source layout.
+//! 1. **Pack** ([`pack`]): each worker packs the A rows of its tiles. The
+//!    B operand is packed once per call into [`microkernel::LANES`]-column
+//!    panels, fusing any transpose the variant needs — except that a
+//!    row-major B (`matmul`, `matmul_at_b`) under an output of at most
+//!    [`IN_PLACE_MAX_ROWS`] rows is read in place, one column strip per
+//!    panel, with only a ragged last panel packed.
 //! 2. **Tile** ([`microkernel`]): an 8-row × 8-lane register tile
-//!    accumulates into a fixed array of lane accumulators across the whole
-//!    inner dimension — broadcast, multiply, add; no strided loads, no
-//!    per-element branches, no horizontal reductions. A portable kernel
-//!    and an AVX2 kernel ([`simd`], selected by runtime CPU detection,
-//!    disabled by `STONE_NO_SIMD=1`) execute the identical lane arithmetic
-//!    and are bit-equal by construction.
+//!    accumulates into a fixed array of lane accumulators across the inner
+//!    dimension — broadcast, multiply, add; no per-element branches, no
+//!    horizontal reductions. A portable kernel and an AVX2 kernel
+//!    ([`simd`], selected by runtime CPU detection, disabled by
+//!    `STONE_NO_SIMD=1`) execute the identical lane arithmetic and are
+//!    bit-equal by construction. Packed panels are walked tile by tile;
+//!    in-place strips panel by panel over cache-sized groups of tiles (see
+//!    [`tiled_block`]).
 //! 3. **Store**: live tile lanes are copied into the output; zero-padded
 //!    ragged-edge lanes are discarded.
 //!
@@ -47,18 +53,20 @@
 //! The scalar blocked kernels this pipeline replaced are kept in
 //! [`reference`] as the bench baseline and test oracle.
 
+mod conv2d;
 mod microkernel;
 mod pack;
 mod reference;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 
+pub use conv2d::conv2d;
 pub use microkernel::{fma_available, simd_available, with_backend, MatmulBackend};
 pub use reference::{matmul_a_bt_scalar, matmul_at_b_scalar, matmul_scalar};
 
 use std::sync::OnceLock;
 
-use microkernel::{LANES, TILE_ROWS};
+use microkernel::{Acc, LANES, TILE_ROWS};
 use stone_obs::prof::{maybe_start, KernelProf};
 
 use crate::Tensor;
@@ -111,49 +119,105 @@ fn worth_threads(macs: usize) -> bool {
 /// threshold never changes results, bit for bit.
 const TILE_MIN_ROWS: usize = TILE_ROWS;
 
-/// Runs a row-range kernel over all of `c`, through the thread pool when
-/// `parallel` (a 1-thread budget degrades to the serial call inside
-/// `par_chunks`).
-fn dispatch(c: &mut Tensor, parallel: bool, kernel: impl Fn(&mut [f32], usize) + Sync) {
-    let n = c.cols();
-    if c.is_empty() {
+/// Runs a kernel over all of `out`, a whole number of `unit`-long records,
+/// through the thread pool when `parallel` (a 1-thread budget degrades to
+/// the serial call inside `par_chunks`). The kernel gets the index of its
+/// block's first record and the block.
+fn dispatch(
+    out: &mut [f32],
+    unit: usize,
+    parallel: bool,
+    kernel: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    if out.is_empty() {
         return;
     }
     if parallel {
-        stone_par::par_chunks(c.as_mut_slice(), n, |r0, block| kernel(block, r0));
+        stone_par::par_chunks(out, unit, kernel);
     } else {
-        kernel(c.as_mut_slice(), 0);
+        kernel(0, out);
     }
 }
+
+/// Outputs with at most this many rows read a row-major B operand in
+/// place instead of packing it. Packing B is a serial pass over all of it
+/// (about 0.9 ns per element on the reference machine, allocation
+/// included) that costs as much as one to two row tiles of its product,
+/// while reading a strip in place slows each tile by 10–25 %; the pack
+/// pays back only on outputs taller than about eight tiles. Below that —
+/// the serving encoder's 6272 × 100 dense weight at batch ≤ 64, where the
+/// pack cost a quarter of the product — the strips win.
+const IN_PLACE_MAX_ROWS: usize = 64;
+
+/// Bytes of packed A tiles walked together against each in-place B
+/// panel: small enough that the group stays in a core's L2 cache while
+/// the panel's strip passes it.
+const GROUP_BYTES: usize = 1 << 20;
+
+/// Inner steps per block of an in-place panel: the block's B steps (at
+/// most two cache lines each) stay in L1 while every tile of the group
+/// accumulates over them.
+const STEP_BLOCK: usize = 256;
 
 /// The tile loop for one contiguous range of output rows.
 ///
 /// `block` holds rows `[r0, r0 + block.len() / n)` of the output; `steps`
 /// is the inner-dimension length; `pack_a(first_row, width, buf)` fills the
 /// packed A tile for `width` output rows starting at the *global* row
-/// `first_row`. The packed B panels are shared read-only across workers.
+/// `first_row`. The B panels are shared read-only across workers.
+///
+/// Packed panels are walked tile by tile: each packed A tile meets every
+/// panel over the whole inner dimension. Panels read in place are walked
+/// panel-outer instead: the rows go in groups of up to [`GROUP_BYTES`] of
+/// packed A tiles, each group meets every panel in turn, one block of
+/// [`STEP_BLOCK`] steps at a time, so a strip of a large operand is
+/// fetched from memory once per group and each step block from L1 once
+/// per tile. A tile carries its partial sums from block to block, so every
+/// element is still summed in increasing step order.
 fn tiled_block(
     block: &mut [f32],
     n: usize,
     r0: usize,
     steps: usize,
-    bpack: &pack::PackedPanels,
+    b: &pack::Panels<'_>,
     backend: MatmulBackend,
     pack_a: impl Fn(usize, usize, &mut [f32]),
 ) {
     let rows = block.len() / n;
-    let panels = n.div_ceil(LANES);
-    let mut apack = vec![0.0f32; steps * TILE_ROWS];
-    for t0 in (0..rows).step_by(TILE_ROWS) {
-        let mr = (rows - t0).min(TILE_ROWS);
-        pack_a(r0 + t0, mr, &mut apack);
-        for jp in 0..panels {
+    let tile_len = steps * TILE_ROWS;
+    let (group_rows, step_block) = if b.reads_in_place() {
+        ((GROUP_BYTES / (tile_len * 4)).max(1) * TILE_ROWS, STEP_BLOCK)
+    } else {
+        (TILE_ROWS, steps)
+    };
+    let group_tiles = rows.min(group_rows).div_ceil(TILE_ROWS);
+    let mut apack = vec![0.0f32; group_tiles * tile_len];
+    let mut accs: Vec<Acc> = vec![[[0.0; LANES]; TILE_ROWS]; group_tiles];
+    for g0 in (0..rows).step_by(group_rows) {
+        let g_rows = (rows - g0).min(group_rows);
+        let tiles = &mut apack[..g_rows.div_ceil(TILE_ROWS) * tile_len];
+        for (t, buf) in tiles.chunks_exact_mut(tile_len).enumerate() {
+            let t0 = g0 + t * TILE_ROWS;
+            pack_a(r0 + t0, (rows - t0).min(TILE_ROWS), buf);
+        }
+        let accs = &mut accs[..g_rows.div_ceil(TILE_ROWS)];
+        for jp in 0..n.div_ceil(LANES) {
+            let (bpanel, ldb) = b.panel(jp);
+            for s0 in (0..steps).step_by(step_block) {
+                let s1 = (s0 + step_block).min(steps);
+                for (acc, a) in accs.iter_mut().zip(tiles.chunks_exact(tile_len)) {
+                    let a = &a[s0 * TILE_ROWS..s1 * TILE_ROWS];
+                    let carry = (s0 > 0).then_some(&*acc);
+                    *acc = microkernel::tile(a, &bpanel[s0 * ldb..], ldb, carry, backend);
+                }
+            }
             let j0 = jp * LANES;
             let nr = (n - j0).min(LANES);
-            let acc = microkernel::tile(&apack, bpack.panel(jp), backend);
-            for (r, accrow) in acc.iter().enumerate().take(mr) {
-                let dst = &mut block[(t0 + r) * n + j0..(t0 + r) * n + j0 + nr];
-                dst.copy_from_slice(&accrow[..nr]);
+            for (t, acc) in accs.iter().enumerate() {
+                let t0 = g0 + t * TILE_ROWS;
+                for (r, accrow) in acc.iter().enumerate().take((rows - t0).min(TILE_ROWS)) {
+                    block[(t0 + r) * n + j0..][..nr].copy_from_slice(&accrow[..nr]);
+                }
             }
         }
     }
@@ -242,13 +306,19 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     }
     let prof = maybe_start();
     if m < TILE_MIN_ROWS {
-        dispatch(&mut c, worth_threads(m * k * n), |block, r0| mm_narrow(a, b, block, r0));
+        dispatch(c.as_mut_slice(), n, worth_threads(m * k * n), |r0, block| {
+            mm_narrow(a, b, block, r0);
+        });
     } else {
-        let bpack = pack::PackedPanels::from_rows(b.as_slice(), k, n);
+        let bpanels = if m <= IN_PLACE_MAX_ROWS {
+            pack::Panels::in_place(b.as_slice(), k, n)
+        } else {
+            pack::Panels::from_rows(b.as_slice(), k, n)
+        };
         let backend = microkernel::active_backend();
         let ad = a.as_slice();
-        dispatch(&mut c, worth_threads(m * k * n), |block, r0| {
-            tiled_block(block, n, r0, k, &bpack, backend, |row0, width, buf| {
+        dispatch(c.as_mut_slice(), n, worth_threads(m * k * n), |r0, block| {
+            tiled_block(block, n, r0, k, &bpanels, backend, |row0, width, buf| {
                 pack::pack_width_major(ad, k, row0, width, buf);
             });
         });
@@ -288,14 +358,20 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     }
     let prof = maybe_start();
     if m < TILE_MIN_ROWS {
-        dispatch(&mut c, worth_threads(m * k * n), |block, p0| mm_at_b_narrow(a, b, block, p0));
+        dispatch(c.as_mut_slice(), n, worth_threads(m * k * n), |p0, block| {
+            mm_at_b_narrow(a, b, block, p0);
+        });
     } else {
         // Output rows are columns of A; the inner dimension is m.
-        let bpack = pack::PackedPanels::from_rows(b.as_slice(), m, n);
+        let bpanels = if k <= IN_PLACE_MAX_ROWS {
+            pack::Panels::in_place(b.as_slice(), m, n)
+        } else {
+            pack::Panels::from_rows(b.as_slice(), m, n)
+        };
         let backend = microkernel::active_backend();
         let ad = a.as_slice();
-        dispatch(&mut c, worth_threads(m * k * n), |block, p0| {
-            tiled_block(block, n, p0, m, &bpack, backend, |col0, width, buf| {
+        dispatch(c.as_mut_slice(), n, worth_threads(m * k * n), |p0, block| {
+            tiled_block(block, n, p0, m, &bpanels, backend, |col0, width, buf| {
                 pack::pack_step_major(ad, k, col0, width, buf);
             });
         });
@@ -336,14 +412,16 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     }
     let prof = maybe_start();
     if m < TILE_MIN_ROWS {
-        dispatch(&mut c, worth_threads(m * k * n), |block, r0| mm_a_bt_narrow(a, b, block, r0));
+        dispatch(c.as_mut_slice(), n, worth_threads(m * k * n), |r0, block| {
+            mm_a_bt_narrow(a, b, block, r0);
+        });
     } else {
         // Rows of B are output columns; packing fuses the transpose.
-        let bpack = pack::PackedPanels::from_transposed_rows(b.as_slice(), k, n);
+        let bpanels = pack::Panels::from_transposed_rows(b.as_slice(), k, n);
         let backend = microkernel::active_backend();
         let ad = a.as_slice();
-        dispatch(&mut c, worth_threads(m * k * n), |block, r0| {
-            tiled_block(block, n, r0, k, &bpack, backend, |row0, width, buf| {
+        dispatch(c.as_mut_slice(), n, worth_threads(m * k * n), |r0, block| {
+            tiled_block(block, n, r0, k, &bpanels, backend, |row0, width, buf| {
                 pack::pack_width_major(ad, k, row0, width, buf);
             });
         });
@@ -506,6 +584,33 @@ mod tests {
                     acc += a.at2(i, p) * b.at2(p, j);
                 }
                 assert_eq!(c.at2(i, j), acc, "element ({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_panels_match_naive_triple_loop_bitwise() {
+        // Outputs of at most IN_PLACE_MAX_ROWS rows read B in place. 5000
+        // steps make two row groups of packed A (GROUP_BYTES) and 20 step
+        // blocks; 9 columns leave a ragged packed panel beside a strip.
+        // Portable-pinned like the test above.
+        let _g = microkernel::backend_test_lock();
+        for (m, k, n, salt) in [(64, 5000, 9, 80), (13, 300, 16, 81)] {
+            let a = pseudo(&[m, k], salt);
+            let b = pseudo(&[k, n], salt + 1);
+            let at = pseudo(&[k, m], salt + 2);
+            let (c, c_at) =
+                with_backend(MatmulBackend::Portable, || (matmul(&a, &b), matmul_at_b(&at, &b)));
+            for i in 0..m {
+                for j in 0..n {
+                    let (mut acc, mut acc_at) = (0.0f32, 0.0f32);
+                    for p in 0..k {
+                        acc += a.at2(i, p) * b.at2(p, j);
+                        acc_at += at.at2(p, i) * b.at2(p, j);
+                    }
+                    assert_eq!(c.at2(i, j), acc, "matmul {m}x{k}x{n} element ({i},{j})");
+                    assert_eq!(c_at.at2(i, j), acc_at, "matmul_at_b {m}x{k}x{n} element ({i},{j})");
+                }
             }
         }
     }
