@@ -180,7 +180,7 @@ fn store_tiles(
         for (jp, bpanel) in panels.chunks_exact(steps * LANES).enumerate() {
             let j0 = jp * LANES;
             let nr = (plane - j0).min(LANES);
-            let acc = microkernel::tile(apack, bpanel, LANES, None, backend);
+            let acc = microkernel::tile(apack, bpanel, backend);
             for (r, accrow) in acc.iter().enumerate().take(mr) {
                 let b = bias[t0 + r];
                 let dst = &mut out[(t0 + r) * plane + j0..][..nr];

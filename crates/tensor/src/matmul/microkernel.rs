@@ -3,10 +3,10 @@
 //! One output tile is [`TILE_ROWS`] × [`LANES`] elements, held in a fixed
 //! array of lane accumulators for the whole inner dimension. Per inner step
 //! the kernel reads [`TILE_ROWS`] packed A values and one [`LANES`]-wide
-//! B vector — contiguous in a packed panel (see [`super::pack`]), or a
-//! row segment of a row-major operand read in place — and performs
-//! `acc[r][l] += a[r] * b[l]`: a broadcast, a multiply and an add per row,
-//! with no `!= 0.0` branches and no horizontal reductions.
+//! packed B vector (see [`super::pack`]) and performs
+//! `acc[r][l] += a[r] * b[l]` — a broadcast, a multiply and an add per row,
+//! with no strided loads, no `!= 0.0` branches, and no horizontal
+//! reductions.
 //!
 //! # Canonical accumulation order
 //!
@@ -206,41 +206,19 @@ pub fn with_backend<R>(backend: MatmulBackend, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Computes one [`TILE_ROWS`] × [`LANES`] output tile over
-/// `apack.len() / TILE_ROWS` inner steps on the given backend: every lane
-/// sums its products step by step in increasing order, starting from zero
-/// or, for a caller blocking the inner dimension, from the `carry` tile
-/// the previous block returned. Carrying stores and reloads each partial
-/// sum exactly, so blocking never changes a result.
+/// Computes one [`TILE_ROWS`] × [`LANES`] output tile over the whole inner
+/// dimension (`apack.len() / TILE_ROWS` steps) on the given backend.
 ///
-/// Step `t` reads its B vector at `b[t * ldb ..][..LANES]`: `ldb` is
-/// [`LANES`] for a packed panel, or the row stride of a row-major operand
-/// whose panel is read in place (then `b` starts at the panel's first
-/// column). Lanes never mix, so the stride changes which memory is read,
-/// never any element's sum.
-///
-/// # Panics
-///
-/// Panics when `b` is too short for the steps `apack` describes.
+/// `apack` and `bpanel` must describe the same number of steps.
 #[inline]
-pub fn tile(
-    apack: &[f32],
-    b: &[f32],
-    ldb: usize,
-    carry: Option<&Acc>,
-    backend: MatmulBackend,
-) -> Acc {
-    let steps = apack.len() / TILE_ROWS;
-    assert!(
-        steps == 0 || b.len() >= (steps - 1) * ldb + LANES,
-        "B operand too short for {steps} steps at stride {ldb}"
-    );
+pub fn tile(apack: &[f32], bpanel: &[f32], backend: MatmulBackend) -> Acc {
+    debug_assert_eq!(apack.len() / TILE_ROWS, bpanel.len() / LANES);
     match backend {
-        MatmulBackend::Portable => tile_portable(apack, b, ldb, carry),
+        MatmulBackend::Portable => tile_portable(apack, bpanel),
         #[cfg(target_arch = "x86_64")]
-        MatmulBackend::Simd => super::simd::tile(apack, b, ldb, carry),
+        MatmulBackend::Simd => super::simd::tile(apack, bpanel),
         #[cfg(target_arch = "x86_64")]
-        MatmulBackend::Fma => super::simd::tile_fma(apack, b, ldb, carry),
+        MatmulBackend::Fma => super::simd::tile_fma(apack, bpanel),
         #[cfg(not(target_arch = "x86_64"))]
         MatmulBackend::Simd | MatmulBackend::Fma => {
             unreachable!("SIMD/FMA backends cannot be selected off x86_64")
@@ -251,10 +229,10 @@ pub fn tile(
 /// The portable tile loop: fixed-size lane arrays the compiler keeps in
 /// vector registers. Multiply then add per lane — the bit-exact twin of the
 /// AVX2 kernel.
-fn tile_portable(apack: &[f32], b: &[f32], ldb: usize, carry: Option<&Acc>) -> Acc {
-    let mut acc: Acc = carry.copied().unwrap_or([[0.0; LANES]; TILE_ROWS]);
-    for (astep, bstep) in apack.chunks_exact(TILE_ROWS).zip(b.chunks(ldb)) {
-        let bvec: [f32; LANES] = bstep[..LANES].try_into().expect("slice is exactly LANES wide");
+fn tile_portable(apack: &[f32], bpanel: &[f32]) -> Acc {
+    let mut acc: Acc = [[0.0; LANES]; TILE_ROWS];
+    for (astep, bstep) in apack.chunks_exact(TILE_ROWS).zip(bpanel.chunks_exact(LANES)) {
+        let bvec: [f32; LANES] = bstep.try_into().expect("chunk is exactly LANES wide");
         for (&a, accrow) in astep.iter().zip(&mut acc) {
             for (&b, lane) in bvec.iter().zip(accrow.iter_mut()) {
                 *lane += a * b;
@@ -284,39 +262,12 @@ mod tests {
         (0..n).map(|i| (i as f32 - n as f32 / 2.0) * scale).collect()
     }
 
-    /// One fresh tile over a packed panel.
-    fn run(apack: &[f32], bpanel: &[f32], backend: MatmulBackend) -> Acc {
-        tile(apack, bpanel, LANES, None, backend)
-    }
-
-    #[test]
-    fn blocked_steps_equal_one_pass_bitwise() {
-        // Splitting the inner dimension across calls stores and reloads
-        // the partial sums exactly, on every backend available here.
-        let kc = 29;
-        let apack = seq(kc * TILE_ROWS, 0.31);
-        let bpanel = seq(kc * LANES, -0.43);
-        let mut backends = vec![MatmulBackend::Portable];
-        if simd_available() {
-            backends.push(MatmulBackend::Simd);
-        }
-        if fma_available() {
-            backends.push(MatmulBackend::Fma);
-        }
-        for backend in backends {
-            let first = tile(&apack[..11 * TILE_ROWS], &bpanel[..11 * LANES], LANES, None, backend);
-            let blocked =
-                tile(&apack[11 * TILE_ROWS..], &bpanel[11 * LANES..], LANES, Some(&first), backend);
-            assert_eq!(blocked, run(&apack, &bpanel, backend), "{backend:?}");
-        }
-    }
-
     #[test]
     fn portable_tile_matches_scalar_reference() {
         let kc = 13;
         let apack = seq(kc * TILE_ROWS, 0.25);
         let bpanel = seq(kc * LANES, -0.5);
-        let acc = run(&apack, &bpanel, MatmulBackend::Portable);
+        let acc = tile(&apack, &bpanel, MatmulBackend::Portable);
         for (r, accrow) in acc.iter().enumerate() {
             for (l, &got) in accrow.iter().enumerate() {
                 let mut want = 0.0f32;
@@ -336,8 +287,8 @@ mod tests {
         let kc = 37;
         let apack = seq(kc * TILE_ROWS, 0.37);
         let bpanel = seq(kc * LANES, 0.73);
-        let portable = run(&apack, &bpanel, MatmulBackend::Portable);
-        let simd = run(&apack, &bpanel, MatmulBackend::Simd);
+        let portable = tile(&apack, &bpanel, MatmulBackend::Portable);
+        let simd = tile(&apack, &bpanel, MatmulBackend::Simd);
         assert_eq!(portable, simd);
     }
 
@@ -349,8 +300,8 @@ mod tests {
         let kc = 37;
         let apack = seq(kc * TILE_ROWS, 0.37);
         let bpanel = seq(kc * LANES, 0.73);
-        let portable = run(&apack, &bpanel, MatmulBackend::Portable);
-        let fma = run(&apack, &bpanel, MatmulBackend::Fma);
+        let portable = tile(&apack, &bpanel, MatmulBackend::Portable);
+        let fma = tile(&apack, &bpanel, MatmulBackend::Fma);
         for (r, (prow, frow)) in portable.iter().zip(&fma).enumerate() {
             for (l, (&p, &f)) in prow.iter().zip(frow).enumerate() {
                 // k·ε·Σ|a||b| per element (see MatmulBackend::Fma).
@@ -364,7 +315,8 @@ mod tests {
 
     #[test]
     fn empty_inner_dimension_yields_zero_tile() {
-        assert_eq!(run(&[], &[], MatmulBackend::Portable), [[0.0; LANES]; TILE_ROWS]);
+        let acc = tile(&[], &[], MatmulBackend::Portable);
+        assert_eq!(acc, [[0.0; LANES]; TILE_ROWS]);
     }
 
     /// The `STONE_FMA` no-op contract: the flag must be safe to set on any

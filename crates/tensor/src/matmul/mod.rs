@@ -14,21 +14,18 @@
 //!
 //! All of them run the same register-tiled pipeline:
 //!
-//! 1. **Pack** ([`pack`]): each worker packs the A rows of its tiles. The
-//!    B operand is packed once per call into [`microkernel::LANES`]-column
-//!    panels, fusing any transpose the variant needs — except that a
-//!    row-major B (`matmul`, `matmul_at_b`) under an output of at most
-//!    [`IN_PLACE_MAX_ROWS`] rows is read in place, one column strip per
-//!    panel, with only a ragged last panel packed.
+//! 1. **Pack** ([`pack`]): the B operand is repacked once per call into
+//!    [`microkernel::LANES`]-column panels; each worker repacks the A rows
+//!    of its current tile. Packing fuses any transpose the variant needs,
+//!    so the kernel's inner loop sees two contiguous streams regardless of
+//!    the source layout.
 //! 2. **Tile** ([`microkernel`]): an 8-row × 8-lane register tile
-//!    accumulates into a fixed array of lane accumulators across the inner
-//!    dimension — broadcast, multiply, add; no per-element branches, no
-//!    horizontal reductions. A portable kernel and an AVX2 kernel
-//!    ([`simd`], selected by runtime CPU detection, disabled by
-//!    `STONE_NO_SIMD=1`) execute the identical lane arithmetic and are
-//!    bit-equal by construction. Packed panels are walked tile by tile;
-//!    in-place strips panel by panel over cache-sized groups of tiles (see
-//!    [`tiled_block`]).
+//!    accumulates into a fixed array of lane accumulators across the whole
+//!    inner dimension — broadcast, multiply, add; no strided loads, no
+//!    per-element branches, no horizontal reductions. A portable kernel
+//!    and an AVX2 kernel ([`simd`], selected by runtime CPU detection,
+//!    disabled by `STONE_NO_SIMD=1`) execute the identical lane arithmetic
+//!    and are bit-equal by construction.
 //! 3. **Store**: live tile lanes are copied into the output; zero-padded
 //!    ragged-edge lanes are discarded.
 //!
@@ -66,7 +63,7 @@ pub use reference::{matmul_a_bt_scalar, matmul_at_b_scalar, matmul_scalar};
 
 use std::sync::OnceLock;
 
-use microkernel::{Acc, LANES, TILE_ROWS};
+use microkernel::{LANES, TILE_ROWS};
 use stone_obs::prof::{maybe_start, KernelProf};
 
 use crate::Tensor;
@@ -139,85 +136,34 @@ fn dispatch(
     }
 }
 
-/// Outputs with at most this many rows read a row-major B operand in
-/// place instead of packing it. Packing B is a serial pass over all of it
-/// (about 0.9 ns per element on the reference machine, allocation
-/// included) that costs as much as one to two row tiles of its product,
-/// while reading a strip in place slows each tile by 10–25 %; the pack
-/// pays back only on outputs taller than about eight tiles. Below that —
-/// the serving encoder's 6272 × 100 dense weight at batch ≤ 64, where the
-/// pack cost a quarter of the product — the strips win.
-const IN_PLACE_MAX_ROWS: usize = 64;
-
-/// Bytes of packed A tiles walked together against each in-place B
-/// panel: small enough that the group stays in a core's L2 cache while
-/// the panel's strip passes it.
-const GROUP_BYTES: usize = 1 << 20;
-
-/// Inner steps per block of an in-place panel: the block's B steps (at
-/// most two cache lines each) stay in L1 while every tile of the group
-/// accumulates over them.
-const STEP_BLOCK: usize = 256;
-
 /// The tile loop for one contiguous range of output rows.
 ///
 /// `block` holds rows `[r0, r0 + block.len() / n)` of the output; `steps`
 /// is the inner-dimension length; `pack_a(first_row, width, buf)` fills the
 /// packed A tile for `width` output rows starting at the *global* row
-/// `first_row`. The B panels are shared read-only across workers.
-///
-/// Packed panels are walked tile by tile: each packed A tile meets every
-/// panel over the whole inner dimension. Panels read in place are walked
-/// panel-outer instead: the rows go in groups of up to [`GROUP_BYTES`] of
-/// packed A tiles, each group meets every panel in turn, one block of
-/// [`STEP_BLOCK`] steps at a time, so a strip of a large operand is
-/// fetched from memory once per group and each step block from L1 once
-/// per tile. A tile carries its partial sums from block to block, so every
-/// element is still summed in increasing step order.
+/// `first_row`. The packed B panels are shared read-only across workers.
 fn tiled_block(
     block: &mut [f32],
     n: usize,
     r0: usize,
     steps: usize,
-    b: &pack::Panels<'_>,
+    bpack: &pack::PackedPanels,
     backend: MatmulBackend,
     pack_a: impl Fn(usize, usize, &mut [f32]),
 ) {
     let rows = block.len() / n;
-    let tile_len = steps * TILE_ROWS;
-    let (group_rows, step_block) = if b.reads_in_place() {
-        ((GROUP_BYTES / (tile_len * 4)).max(1) * TILE_ROWS, STEP_BLOCK)
-    } else {
-        (TILE_ROWS, steps)
-    };
-    let group_tiles = rows.min(group_rows).div_ceil(TILE_ROWS);
-    let mut apack = vec![0.0f32; group_tiles * tile_len];
-    let mut accs: Vec<Acc> = vec![[[0.0; LANES]; TILE_ROWS]; group_tiles];
-    for g0 in (0..rows).step_by(group_rows) {
-        let g_rows = (rows - g0).min(group_rows);
-        let tiles = &mut apack[..g_rows.div_ceil(TILE_ROWS) * tile_len];
-        for (t, buf) in tiles.chunks_exact_mut(tile_len).enumerate() {
-            let t0 = g0 + t * TILE_ROWS;
-            pack_a(r0 + t0, (rows - t0).min(TILE_ROWS), buf);
-        }
-        let accs = &mut accs[..g_rows.div_ceil(TILE_ROWS)];
-        for jp in 0..n.div_ceil(LANES) {
-            let (bpanel, ldb) = b.panel(jp);
-            for s0 in (0..steps).step_by(step_block) {
-                let s1 = (s0 + step_block).min(steps);
-                for (acc, a) in accs.iter_mut().zip(tiles.chunks_exact(tile_len)) {
-                    let a = &a[s0 * TILE_ROWS..s1 * TILE_ROWS];
-                    let carry = (s0 > 0).then_some(&*acc);
-                    *acc = microkernel::tile(a, &bpanel[s0 * ldb..], ldb, carry, backend);
-                }
-            }
+    let panels = n.div_ceil(LANES);
+    let mut apack = vec![0.0f32; steps * TILE_ROWS];
+    for t0 in (0..rows).step_by(TILE_ROWS) {
+        let mr = (rows - t0).min(TILE_ROWS);
+        pack_a(r0 + t0, mr, &mut apack);
+        for jp in 0..panels {
             let j0 = jp * LANES;
             let nr = (n - j0).min(LANES);
-            for (t, acc) in accs.iter().enumerate() {
-                let t0 = g0 + t * TILE_ROWS;
-                for (r, accrow) in acc.iter().enumerate().take((rows - t0).min(TILE_ROWS)) {
-                    block[(t0 + r) * n + j0..][..nr].copy_from_slice(&accrow[..nr]);
-                }
+            let acc = microkernel::tile(&apack, bpack.panel(jp), backend);
+            for (r, accrow) in acc.iter().enumerate().take(mr) {
+                let dst = &mut block[(t0 + r) * n + j0..(t0 + r) * n + j0 + nr];
+                dst.copy_from_slice(&accrow[..nr]);
             }
         }
     }
@@ -310,15 +256,11 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
             mm_narrow(a, b, block, r0);
         });
     } else {
-        let bpanels = if m <= IN_PLACE_MAX_ROWS {
-            pack::Panels::in_place(b.as_slice(), k, n)
-        } else {
-            pack::Panels::from_rows(b.as_slice(), k, n)
-        };
+        let bpack = pack::PackedPanels::from_rows(b.as_slice(), k, n);
         let backend = microkernel::active_backend();
         let ad = a.as_slice();
         dispatch(c.as_mut_slice(), n, worth_threads(m * k * n), |r0, block| {
-            tiled_block(block, n, r0, k, &bpanels, backend, |row0, width, buf| {
+            tiled_block(block, n, r0, k, &bpack, backend, |row0, width, buf| {
                 pack::pack_width_major(ad, k, row0, width, buf);
             });
         });
@@ -363,15 +305,11 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
         });
     } else {
         // Output rows are columns of A; the inner dimension is m.
-        let bpanels = if k <= IN_PLACE_MAX_ROWS {
-            pack::Panels::in_place(b.as_slice(), m, n)
-        } else {
-            pack::Panels::from_rows(b.as_slice(), m, n)
-        };
+        let bpack = pack::PackedPanels::from_rows(b.as_slice(), m, n);
         let backend = microkernel::active_backend();
         let ad = a.as_slice();
         dispatch(c.as_mut_slice(), n, worth_threads(m * k * n), |p0, block| {
-            tiled_block(block, n, p0, m, &bpanels, backend, |col0, width, buf| {
+            tiled_block(block, n, p0, m, &bpack, backend, |col0, width, buf| {
                 pack::pack_step_major(ad, k, col0, width, buf);
             });
         });
@@ -417,11 +355,11 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
         });
     } else {
         // Rows of B are output columns; packing fuses the transpose.
-        let bpanels = pack::Panels::from_transposed_rows(b.as_slice(), k, n);
+        let bpack = pack::PackedPanels::from_transposed_rows(b.as_slice(), k, n);
         let backend = microkernel::active_backend();
         let ad = a.as_slice();
         dispatch(c.as_mut_slice(), n, worth_threads(m * k * n), |r0, block| {
-            tiled_block(block, n, r0, k, &bpanels, backend, |row0, width, buf| {
+            tiled_block(block, n, r0, k, &bpack, backend, |row0, width, buf| {
                 pack::pack_width_major(ad, k, row0, width, buf);
             });
         });
@@ -584,33 +522,6 @@ mod tests {
                     acc += a.at2(i, p) * b.at2(p, j);
                 }
                 assert_eq!(c.at2(i, j), acc, "element ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn in_place_panels_match_naive_triple_loop_bitwise() {
-        // Outputs of at most IN_PLACE_MAX_ROWS rows read B in place. 5000
-        // steps make two row groups of packed A (GROUP_BYTES) and 20 step
-        // blocks; 9 columns leave a ragged packed panel beside a strip.
-        // Portable-pinned like the test above.
-        let _g = microkernel::backend_test_lock();
-        for (m, k, n, salt) in [(64, 5000, 9, 80), (13, 300, 16, 81)] {
-            let a = pseudo(&[m, k], salt);
-            let b = pseudo(&[k, n], salt + 1);
-            let at = pseudo(&[k, m], salt + 2);
-            let (c, c_at) =
-                with_backend(MatmulBackend::Portable, || (matmul(&a, &b), matmul_at_b(&at, &b)));
-            for i in 0..m {
-                for j in 0..n {
-                    let (mut acc, mut acc_at) = (0.0f32, 0.0f32);
-                    for p in 0..k {
-                        acc += a.at2(i, p) * b.at2(p, j);
-                        acc_at += at.at2(p, i) * b.at2(p, j);
-                    }
-                    assert_eq!(c.at2(i, j), acc, "matmul {m}x{k}x{n} element ({i},{j})");
-                    assert_eq!(c_at.at2(i, j), acc_at, "matmul_at_b {m}x{k}x{n} element ({i},{j})");
-                }
             }
         }
     }

@@ -1,32 +1,29 @@
 //! Panel packing for the register-tiled matmul kernels.
 //!
-//! The microkernel (see [`super::microkernel`]) consumes two operands per
-//! inner step `t`:
+//! The microkernel (see [`super::microkernel`]) consumes two packed
+//! operands per inner step `t`:
 //!
-//! * an **A-side tile** of [`TILE_ROWS`] packed values — one per output row
-//!   of the register tile: `apack[t * TILE_ROWS + r]`;
+//! * an **A-side tile** of [`TILE_ROWS`] values — one per output row of the
+//!   register tile: `apack[t * TILE_ROWS + r]`;
 //! * a **B-side panel** of [`LANES`] values — one per output column of the
-//!   register tile: `b[t * ldb + l]`, packed contiguously (`ldb = LANES`)
-//!   or read in place from a row-major operand (`ldb` = its row stride).
+//!   register tile: `bpanel[t * LANES + l]`.
 //!
 //! Packing turns every source layout the three matmul variants need —
-//! row-major rows, row-major columns, and transposed rows — into
-//! contiguous streams. A row-major B operand already holds each panel step
-//! as a contiguous segment, so under a short output [`Panels`] reads it in
-//! place instead and packs only a ragged edge. Ragged edges (a tile or
-//! panel that sticks out past the matrix) are zero-padded: the padded
-//! lanes accumulate `a · 0` products that the store step discards, which
-//! keeps the inner loop branch-free.
+//! row-major rows, row-major columns, and transposed rows — into those two
+//! contiguous streams, so the microkernel's inner loop never issues a
+//! strided load. Ragged edges (a tile or panel that sticks out past the
+//! matrix) are zero-padded: the padded lanes accumulate `a · 0` products
+//! that the store step discards, which keeps the inner loop branch-free.
 //!
 //! Only two primitives are needed. Reading `width` *consecutive* values per
 //! step is [`pack_step_major`]; reading one value from each of `width`
 //! consecutive *rows* is [`pack_width_major`] (a fused transpose). Each
-//! matmul variant is some combination of them:
+//! matmul variant is some combination of the two:
 //!
 //! | product | A-side pack | B-side pack |
 //! | --- | --- | --- |
-//! | `A · B` | `pack_width_major` (tile rows of `A`) | `pack_step_major` (panel columns of `B`), or in place |
-//! | `Aᵀ · B` | `pack_step_major` (tile columns of `A`) | `pack_step_major` (panel columns of `B`), or in place |
+//! | `A · B` | `pack_width_major` (tile rows of `A`) | `pack_step_major` (panel columns of `B`) |
+//! | `Aᵀ · B` | `pack_step_major` (tile columns of `A`) | `pack_step_major` (panel columns of `B`) |
 //! | `A · Bᵀ` | `pack_width_major` (tile rows of `A`) | `pack_width_major` (panel rows of `B`) |
 
 use super::microkernel::LANES;
@@ -69,92 +66,54 @@ pub fn pack_width_major(src: &[f32], ld: usize, r0: usize, width: usize, dst: &m
     debug_assert!(width <= LANES);
     assert_eq!(dst.len() % LANES, 0, "packed panel length must be a whole number of lane groups");
     let steps = dst.len() / LANES;
-    let rows: [&[f32]; LANES] =
-        std::array::from_fn(|w| if w < width { &src[(r0 + w) * ld..][..steps] } else { &[] });
-    // Step-outer: each packed step is written once, whole, while the
-    // `width` source rows are read front to back side by side.
-    for (t, lane) in dst.chunks_exact_mut(LANES).enumerate() {
-        for (v, row) in lane.iter_mut().zip(&rows[..width]) {
-            *v = row[t];
+    dst.fill(0.0);
+    for w in 0..width {
+        let row = &src[(r0 + w) * ld..(r0 + w) * ld + steps];
+        for (t, &v) in row.iter().enumerate() {
+            dst[t * LANES + w] = v;
         }
-        lane[width..].fill(0.0);
     }
 }
 
-/// A whole B operand as the microkernel reads it, panel by panel: panel
-/// `jp` covers output columns `jp * LANES ..`. Shared read-only across the
-/// worker threads of one dispatch.
+/// A whole B operand packed into [`LANES`]-column panels, shared read-only
+/// across the worker threads of one dispatch.
 ///
-/// A row-major `[steps, n]` operand (the B side of `A · B` and `Aᵀ · B`)
-/// is either packed whole ([`Panels::from_rows`]) or **read in place**
-/// ([`Panels::in_place`]): each full panel is then a [`LANES`]-wide column
-/// strip of the source at row stride `n`, and only a ragged last panel is
-/// packed. The B side of `A · Bᵀ` needs a transpose and is always packed.
-pub struct Panels<'a> {
-    /// Row-major source of the in-place panels `..in_place`.
-    src: &'a [f32],
-    /// Row stride of `src`.
-    ld: usize,
-    in_place: usize,
-    /// Panels `in_place..`, packed contiguously, `steps * LANES` each.
-    packed: Vec<f32>,
+/// Panel `jp` covers output columns `jp * LANES ..` and stores `steps`
+/// packed steps contiguously, so the microkernel walks it linearly.
+pub struct PackedPanels {
+    data: Vec<f32>,
     steps: usize,
 }
 
-impl<'a> Panels<'a> {
-    /// A `[steps, n]` row-major operand, packed whole, column panel by
-    /// column panel.
+impl PackedPanels {
+    /// Packs a `[steps, n]` row-major operand column-panel by column-panel
+    /// (the B side of `A · B` and `Aᵀ · B`).
     #[must_use]
     pub fn from_rows(src: &[f32], steps: usize, n: usize) -> Self {
-        let mut packed = vec![0.0; n.div_ceil(LANES) * steps * LANES];
-        for (jp, panel) in packed.chunks_exact_mut(steps * LANES).enumerate() {
+        let mut data = vec![0.0; n.div_ceil(LANES) * steps * LANES];
+        for (jp, panel) in data.chunks_exact_mut(steps * LANES).enumerate() {
             let c0 = jp * LANES;
             pack_step_major(src, n, c0, LANES.min(n - c0), panel);
         }
-        Self { src: &[], ld: LANES, in_place: 0, packed, steps }
+        Self { data, steps }
     }
 
-    /// A `[steps, n]` row-major operand read in place: full panels are
-    /// strips of `src`, a ragged last panel is packed (zero-padded).
-    #[must_use]
-    pub fn in_place(src: &'a [f32], steps: usize, n: usize) -> Self {
-        let in_place = n / LANES;
-        let ragged = n % LANES;
-        let mut packed = vec![0.0; if ragged > 0 { steps * LANES } else { 0 }];
-        if ragged > 0 {
-            pack_step_major(src, n, in_place * LANES, ragged, &mut packed);
-        }
-        Self { src, ld: n, in_place, packed, steps }
-    }
-
-    /// An `[n, steps]` row-major operand whose *rows* are output columns
-    /// (the B side of `A · Bᵀ`), packed whole, transposing as it packs.
+    /// Packs an `[n, steps]` row-major operand whose *rows* are output
+    /// columns (the B side of `A · Bᵀ`), transposing as it packs.
     #[must_use]
     pub fn from_transposed_rows(src: &[f32], steps: usize, n: usize) -> Self {
-        let mut packed = vec![0.0; n.div_ceil(LANES) * steps * LANES];
-        for (jp, panel) in packed.chunks_exact_mut(steps * LANES).enumerate() {
+        let mut data = vec![0.0; n.div_ceil(LANES) * steps * LANES];
+        for (jp, panel) in data.chunks_exact_mut(steps * LANES).enumerate() {
             let r0 = jp * LANES;
             pack_width_major(src, steps, r0, LANES.min(n - r0), panel);
         }
-        Self { src: &[], ld: LANES, in_place: 0, packed, steps }
+        Self { data, steps }
     }
 
-    /// Whether some panels are strips of the source read in place.
+    /// The packed panel covering output columns `jp * LANES ..`.
     #[must_use]
-    pub fn reads_in_place(&self) -> bool {
-        self.in_place > 0
-    }
-
-    /// Panel `jp` as `(b, ldb)` for [`super::microkernel::tile`]: step `t`
-    /// of the panel is `b[t * ldb ..][..LANES]`.
-    #[must_use]
-    pub fn panel(&self, jp: usize) -> (&[f32], usize) {
-        if jp < self.in_place {
-            (&self.src[jp * LANES..], self.ld)
-        } else {
-            let len = self.steps * LANES;
-            (&self.packed[(jp - self.in_place) * len..][..len], LANES)
-        }
+    pub fn panel(&self, jp: usize) -> &[f32] {
+        &self.data[jp * self.steps * LANES..(jp + 1) * self.steps * LANES]
     }
 }
 
@@ -187,41 +146,26 @@ mod tests {
         }
     }
 
-    /// Step `t`, lane `l` of panel `jp` as the microkernel reads it.
-    fn lane(p: &Panels<'_>, jp: usize, t: usize, l: usize) -> f32 {
-        let (b, ldb) = p.panel(jp);
-        b[t * ldb..][..LANES][l]
-    }
-
     #[test]
-    fn row_panels_packed_or_in_place_read_the_same_lanes() {
-        // 2 steps × 11 columns → two panels, the second ragged (3 live
-        // lanes, zero-padded). In place, the first is a strip of `src`.
+    fn packed_panels_cover_ragged_widths() {
+        // 2 steps × 11 columns → two panels, second ragged (3 live lanes).
         let src: Vec<f32> = (0..22).map(|v| v as f32).collect();
-        let packed = Panels::from_rows(&src, 2, 11);
-        let strips = Panels::in_place(&src, 2, 11);
-        for p in [&packed, &strips] {
-            for t in 0..2 {
-                for l in 0..8 {
-                    assert_eq!(lane(p, 0, t, l), src[t * 11 + l], "full, step {t} lane {l}");
-                    let want = if l < 3 { src[t * 11 + 8 + l] } else { 0.0 };
-                    assert_eq!(lane(p, 1, t, l), want, "ragged, step {t} lane {l}");
-                }
-            }
-        }
-        assert!(!packed.reads_in_place() && strips.reads_in_place());
-        assert_eq!(strips.panel(0).1, 11, "in-place panels step at the source row stride");
+        let p = PackedPanels::from_rows(&src, 2, 11);
+        assert_eq!(p.panel(0)[..8], src[..8]);
+        assert_eq!(&p.panel(1)[..3], &src[8..11]);
+        assert!(p.panel(1)[3..8].iter().all(|&v| v == 0.0));
+        // Second step of the ragged panel.
+        assert_eq!(&p.panel(1)[8..11], &src[19..22]);
     }
 
     #[test]
     fn transposed_panels_match_explicit_transpose() {
         // src is 5 rows × 3 steps; panel 0 step t = column t of rows 0..5.
         let src: Vec<f32> = (0..15).map(|v| v as f32).collect();
-        let p = Panels::from_transposed_rows(&src, 3, 5);
+        let p = PackedPanels::from_transposed_rows(&src, 3, 5);
         for t in 0..3 {
-            for w in 0..8 {
-                let want = if w < 5 { src[w * 3 + t] } else { 0.0 };
-                assert_eq!(lane(&p, 0, t, w), want, "step {t} lane {w}");
+            for w in 0..5 {
+                assert_eq!(p.panel(0)[t * LANES + w], src[w * 3 + t], "step {t} lane {w}");
             }
         }
     }

@@ -41,58 +41,26 @@ use super::microkernel::{fma_available, simd_available, Acc, LANES, TILE_ROWS};
 /// Panics when the CPU lacks AVX2 — the dispatchers only select this
 /// backend after runtime detection, so a panic here means a caller bypassed
 /// [`super::MatmulBackend`] selection.
-pub fn tile(apack: &[f32], b: &[f32], ldb: usize, carry: Option<&Acc>) -> Acc {
+pub fn tile(apack: &[f32], bpanel: &[f32]) -> Acc {
     assert!(simd_available(), "AVX2 microkernel invoked without CPU support");
     // SAFETY: AVX2 availability was just verified at runtime.
-    unsafe { tile_avx2(apack, b, ldb, carry) }
+    unsafe { tile_avx2(apack, bpanel) }
 }
 
-/// The AVX2 tile loop. Eight `__m256` accumulators (one per tile row,
-/// zeroed or loaded from `carry`) live in registers across the given
-/// steps; the inner step is load + broadcast + multiply + add, nothing
-/// else. Step `t` loads B from `b[t * ldb ..][..LANES]` (see
-/// [`super::microkernel::tile`]).
+/// The AVX2 tile loop. Eight `__m256` accumulators (one per tile row) live
+/// in registers across the whole inner dimension; the inner step is
+/// load + broadcast + multiply + add, nothing else.
 ///
 /// # Safety
 ///
 /// The caller must ensure the CPU supports AVX2.
 #[target_feature(enable = "avx2")]
-unsafe fn tile_avx2(apack: &[f32], b: &[f32], ldb: usize, carry: Option<&Acc>) -> Acc {
-    // A packed panel gets the stride-free loop, which compiles to tighter
-    // code than the general one.
-    if ldb == LANES {
-        avx2_steps(apack, b.chunks_exact(LANES), carry)
-    } else {
-        avx2_steps(apack, b.chunks(ldb), carry)
-    }
-}
-
-/// The body of [`tile_avx2`] over an iterator of B steps, each at least
-/// [`LANES`] long.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2.
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn avx2_steps<'a>(
-    apack: &[f32],
-    bsteps: impl Iterator<Item = &'a [f32]>,
-    carry: Option<&Acc>,
-) -> Acc {
+unsafe fn tile_avx2(apack: &[f32], bpanel: &[f32]) -> Acc {
     let mut vacc = [_mm256_setzero_ps(); TILE_ROWS];
-    // SAFETY (loadu, and storeu below): each tile row is a `[f32; LANES]`
-    // array, so 8-wide accesses at its base pointer stay in bounds.
-    if let Some(carry) = carry {
-        for (va, row) in vacc.iter_mut().zip(carry) {
-            *va = _mm256_loadu_ps(row.as_ptr());
-        }
-    }
-    for (astep, bstep) in apack.chunks_exact(TILE_ROWS).zip(bsteps) {
-        // SAFETY (loadu): `bstep` is sliced to exactly LANES elements (a
-        // bounds-checked slice), so an 8-wide unaligned load from its
-        // base pointer stays in bounds.
-        let bstep = &bstep[..LANES];
+    for (astep, bstep) in apack.chunks_exact(TILE_ROWS).zip(bpanel.chunks_exact(LANES)) {
+        // SAFETY (loadu/storeu): `chunks_exact` yields slices of exactly
+        // LANES / TILE_ROWS elements, so 8-wide unaligned loads from their
+        // base pointers stay in bounds.
         let b = _mm256_loadu_ps(bstep.as_ptr());
         for (va, &a) in vacc.iter_mut().zip(astep) {
             *va = _mm256_add_ps(*va, _mm256_mul_ps(_mm256_set1_ps(a), b));
@@ -114,10 +82,10 @@ unsafe fn avx2_steps<'a>(
 /// Panics when the CPU lacks AVX2 or FMA — the dispatchers only select
 /// this backend when `STONE_FMA=1` *and* runtime detection succeeds, so a
 /// panic here means a caller bypassed [`super::MatmulBackend`] selection.
-pub fn tile_fma(apack: &[f32], b: &[f32], ldb: usize, carry: Option<&Acc>) -> Acc {
+pub fn tile_fma(apack: &[f32], bpanel: &[f32]) -> Acc {
     assert!(fma_available(), "FMA microkernel invoked without CPU support");
     // SAFETY: AVX2 and FMA availability were just verified at runtime.
-    unsafe { tile_avx2_fma(apack, b, ldb, carry) }
+    unsafe { tile_avx2_fma(apack, bpanel) }
 }
 
 /// The FMA tile loop: identical structure and accumulation *order* to
@@ -131,39 +99,12 @@ pub fn tile_fma(apack: &[f32], b: &[f32], ldb: usize, carry: Option<&Acc>) -> Ac
 ///
 /// The caller must ensure the CPU supports AVX2 and FMA.
 #[target_feature(enable = "avx2,fma")]
-unsafe fn tile_avx2_fma(apack: &[f32], b: &[f32], ldb: usize, carry: Option<&Acc>) -> Acc {
-    if ldb == LANES {
-        fma_steps(apack, b.chunks_exact(LANES), carry)
-    } else {
-        fma_steps(apack, b.chunks(ldb), carry)
-    }
-}
-
-/// The body of [`tile_avx2_fma`] over an iterator of B steps, each at
-/// least [`LANES`] long.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-#[inline]
-unsafe fn fma_steps<'a>(
-    apack: &[f32],
-    bsteps: impl Iterator<Item = &'a [f32]>,
-    carry: Option<&Acc>,
-) -> Acc {
+unsafe fn tile_avx2_fma(apack: &[f32], bpanel: &[f32]) -> Acc {
     let mut vacc = [_mm256_setzero_ps(); TILE_ROWS];
-    // SAFETY (loadu, and storeu below): each tile row is a `[f32; LANES]`
-    // array, so 8-wide accesses at its base pointer stay in bounds.
-    if let Some(carry) = carry {
-        for (va, row) in vacc.iter_mut().zip(carry) {
-            *va = _mm256_loadu_ps(row.as_ptr());
-        }
-    }
-    for (astep, bstep) in apack.chunks_exact(TILE_ROWS).zip(bsteps) {
-        // SAFETY (loadu): as in `avx2_steps`, the B step is sliced to
-        // exactly LANES elements.
-        let bstep = &bstep[..LANES];
+    for (astep, bstep) in apack.chunks_exact(TILE_ROWS).zip(bpanel.chunks_exact(LANES)) {
+        // SAFETY (loadu/storeu): `chunks_exact` yields slices of exactly
+        // LANES / TILE_ROWS elements, so 8-wide unaligned loads from their
+        // base pointers stay in bounds.
         let b = _mm256_loadu_ps(bstep.as_ptr());
         for (va, &a) in vacc.iter_mut().zip(astep) {
             *va = _mm256_fmadd_ps(_mm256_set1_ps(a), b, *va);
