@@ -20,10 +20,7 @@
 //!   server's adaptive coalescing buys end to end, channels included;
 //! * **spawn-vs-pool dispatch** (one tiny fork-join region through the
 //!   PR 6 worker pool vs. the scoped-spawn strategy it replaced) — the
-//!   per-region overhead that sets every parallel-dispatch threshold;
-//! * **FMA opt-in** (`matmul` on the `STONE_FMA=1` contracted kernel at
-//!   the serving cube, next to the default AVX2 entry) — the per-core
-//!   headroom the opt-in buys, where the CPU supports it.
+//!   per-region overhead that sets every parallel-dispatch threshold.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
@@ -171,26 +168,6 @@ fn bench_dispatch_spawn_vs_pool(c: &mut Criterion) {
     black_box(&buf);
 }
 
-fn bench_matmul_fma(c: &mut Criterion) {
-    use stone_tensor::{fma_available, matmul, rng::uniform_tensor, with_backend, MatmulBackend};
-    if !fma_available() {
-        return; // entry only exists where the opt-in backend can run
-    }
-    let mut rng = StdRng::seed_from_u64(9);
-    let a = uniform_tensor(&mut rng, vec![256, 256], -1.0, 1.0);
-    let b = uniform_tensor(&mut rng, vec![256, 256], -1.0, 1.0);
-    // The STONE_FMA=1 row for docs/PERFORMANCE.md, next to the default
-    // AVX2 entry at the same serving-scale cube; serial to isolate the
-    // kernel (thread scaling is the serial-vs-parallel pair's job).
-    c.bench_function("matmul/256x256x256_fma_serial_1thread", |bch| {
-        bch.iter(|| {
-            stone_par::with_threads(1, || {
-                with_backend(MatmulBackend::Fma, || black_box(matmul(black_box(&a), black_box(&b))))
-            })
-        })
-    });
-}
-
 fn bench_embed_batch(c: &mut Criterion) {
     let suite = quick_suite();
     let codec = ImageCodec::new(suite.train.ap_count());
@@ -335,7 +312,6 @@ criterion_group!(
         bench_dispatch_spawn_vs_pool,
         bench_matmul_serial_vs_parallel,
         bench_matmul_scalar_vs_tiled,
-        bench_matmul_fma,
         bench_embed_batch,
         bench_locate,
         bench_knn_query,

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use stone_nn::{
     Conv2d, Dense, Dropout, Flatten, GaussianNoise, L2Normalize, Layer, Mode, Relu, Sequential,
 };
-use stone_tensor::{simd_available, with_backend, MatmulBackend, Tensor};
+use stone_tensor::{configured_backend, with_backend, MatmulBackend, Tensor};
 
 const CASES: u64 = 32;
 
@@ -101,14 +101,13 @@ fn check_rows_are_independent(seed: u64, net: &Sequential, x: &Tensor, at: &str)
     }
 }
 
-/// The bit-equal mul+add backends on this machine. `STONE_NO_SIMD=1` is
-/// the operator's kill-switch, so the SIMD backend is left out under it.
-fn mul_add_backends() -> Vec<MatmulBackend> {
-    let no_simd = std::env::var("STONE_NO_SIMD").is_ok_and(|v| !v.trim().is_empty() && v != "0");
-    if simd_available() && !no_simd {
-        vec![MatmulBackend::Portable, MatmulBackend::Simd]
-    } else {
-        vec![MatmulBackend::Portable]
+/// The backends to check: the portable kernel, plus AVX2 when the
+/// environment selects it (not under `STONE_NO_SIMD=1`, the operator's
+/// kill-switch, nor on a CPU without AVX2).
+fn backends() -> Vec<MatmulBackend> {
+    match configured_backend() {
+        MatmulBackend::Simd => vec![MatmulBackend::Portable, MatmulBackend::Simd],
+        MatmulBackend::Portable => vec![MatmulBackend::Portable],
     }
 }
 
@@ -118,12 +117,7 @@ fn predict_is_forward_and_rows_are_independent() {
         let (net, x) = random_case(seed);
         for threads in [1, 2] {
             stone_par::with_threads(threads, || {
-                // The environment's backend, FMA included: predict and
-                // forward share every product, so they agree on any backend.
-                check_predict_is_forward(seed, &net, &x, &format!("{threads} threads"));
-                // Batch-1 dense layers take the narrow path, which never
-                // contracts, so rows match only on the mul+add backends.
-                for backend in mul_add_backends() {
+                for backend in backends() {
                     with_backend(backend, || {
                         let at = format!("{threads} threads, {backend:?}");
                         check_predict_is_forward(seed, &net, &x, &at);

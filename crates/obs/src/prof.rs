@@ -2,7 +2,7 @@
 //!
 //! The compute layers (`stone-tensor` matmul dispatch, the `stone-par`
 //! worker pool) are far too hot to pay for unconditional timing, so the
-//! hooks follow the same discipline as `STONE_NO_SIMD`/`STONE_FMA`: the
+//! hooks follow the same discipline as `STONE_NO_SIMD`: the
 //! env var is read once (first use, cached in a `OnceLock`), and when it
 //! is unset the entire hook is one branch on a cached bool — no clock
 //! read, no registry traffic.

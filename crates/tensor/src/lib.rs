@@ -9,7 +9,9 @@
 //! * register-tiled matrix products ([`matmul`], [`matmul_at_b`],
 //!   [`matmul_a_bt`]) with packed panels, an AVX2 microkernel behind runtime
 //!   detection (`STONE_NO_SIMD=1` forces the bit-identical portable
-//!   fallback), and row-parallel dispatch;
+//!   fallback; [`configured_backend`] reports the choice), and row-parallel
+//!   dispatch. No kernel contracts a multiply-add into an FMA, so every
+//!   backend, thread count and batch size gives the same bits;
 //! * a fused convolution product ([`conv2d`]) and the [`im2col`]/[`col2im`]
 //!   lowering used by the convolution layers in `stone-nn`;
 //! * seeded random fills (uniform and Box-Muller normal) in [`rng`];
@@ -43,8 +45,9 @@ mod tensor;
 pub use conv::{col2im, col2im_from, im2col, im2col_into, Conv2dGeometry};
 pub use error::TensorError;
 pub use matmul::{
-    conv2d, fma_available, matmul, matmul_a_bt, matmul_a_bt_scalar, matmul_at_b,
-    matmul_at_b_scalar, matmul_scalar, simd_available, with_backend, MatmulBackend, PAR_MIN_MACS,
+    configured_backend, conv2d, fma_available, matmul, matmul_a_bt, matmul_a_bt_scalar,
+    matmul_at_b, matmul_at_b_scalar, matmul_scalar, simd_available, with_backend, MatmulBackend,
+    PAR_MIN_MACS,
 };
 pub use reduce::{argmax, mean_all, softmax_rows, sum_all, sum_axis0};
 pub use tensor::Tensor;

@@ -24,20 +24,13 @@
 //!   the compiler vectorizes it for the baseline target.
 //! * [`MatmulBackend::Simd`] — explicit AVX2 intrinsics
 //!   ([`super::simd`]), selected at runtime when the CPU supports AVX2.
-//! * [`MatmulBackend::Fma`] — the AVX2 loop with the multiply and add
-//!   contracted into `vfmadd231ps`. **Opt-in only** (`STONE_FMA=1`):
-//!   contraction skips the product's intermediate rounding, so it is a
-//!   numerics change, never a silent default.
 //!
-//! `Portable` and `Simd` evaluate each lane as an IEEE-754
-//! single-precision multiply followed by an add (no FMA contraction), so
-//! their results are **bit-equal**, not merely close: `Simd` is an
-//! execution strategy, never a numerics change. `Fma` keeps the canonical
-//! accumulation *order* but fuses each update's rounding; its deviation
-//! from the portable kernel is bounded by the envelope documented on the
-//! variant. `STONE_NO_SIMD=1` forces `Portable` process-wide (and beats
-//! `STONE_FMA`); [`super::with_backend`] overrides the choice in a scope
-//! (tests, benches).
+//! Both evaluate each lane as an IEEE-754 single-precision multiply
+//! followed by an add (no FMA contraction), so their results are
+//! **bit-equal**, not merely close: `Simd` is an execution strategy, never
+//! a numerics change. `STONE_NO_SIMD=1` forces `Portable` process-wide
+//! ([`configured_backend`]); [`super::with_backend`] overrides the choice
+//! in a scope (tests, benches).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -54,8 +47,8 @@ pub type Acc = [[f32; LANES]; TILE_ROWS];
 
 /// Which microkernel implementation executes the tile loop.
 ///
-/// `Portable` and `Simd` produce bitwise-identical results; `Fma` is the
-/// documented opt-in exception. See the module docs.
+/// `Portable` and `Simd` produce bitwise-identical results. See the module
+/// docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatmulBackend {
     /// Safe, compiler-vectorized lane arithmetic. Always available; forced
@@ -63,24 +56,10 @@ pub enum MatmulBackend {
     Portable,
     /// Explicit AVX2 intrinsics (`x86_64` with runtime AVX2 support only).
     Simd,
-    /// AVX2 with fused multiply-add (`x86_64` with runtime AVX2+FMA
-    /// support only), selected by `STONE_FMA=1`.
-    ///
-    /// Each accumulator update rounds once (after the fused `a·b + acc`)
-    /// instead of twice (after the multiply, then after the add), so
-    /// every element differs from the portable result by at most one
-    /// rounding per inner step along the *same* accumulation order:
-    /// `|fma - portable| ≤ k · ε · Σₚ|a[i,p]|·|b[p,j]|` with
-    /// `ε = f32::EPSILON` and `k` the inner dimension — in practice a few
-    /// ulps of the absolute-value dot product. The proptest in
-    /// `crates/tensor/tests/properties.rs` pins this envelope;
-    /// the figure benches report the (empty) set of localization
-    /// predictions it changes.
-    Fma,
 }
 
 /// Process-wide scoped override installed by [`super::with_backend`];
-/// 0 = none, 1 = portable, 2 = SIMD, 3 = FMA.
+/// 0 = none, 1 = portable, 2 = SIMD.
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Whether the explicit SIMD microkernel can run on this machine.
@@ -96,8 +75,9 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// Whether the fused-multiply-add microkernel can run on this machine
-/// (AVX2 *and* FMA; the kernel uses both instruction sets).
+/// Whether the CPU supports AVX2 and FMA. A CPU report for benchmark
+/// records only: no kernel issues FMA instructions, because contracting
+/// the multiply and add would change results (see the module docs).
 #[must_use]
 pub fn fma_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -111,22 +91,12 @@ pub fn fma_available() -> bool {
 }
 
 /// Pure backend-selection policy, split out so tests can pin every
-/// combination without faking CPUID or the environment:
-///
-/// 1. `STONE_NO_SIMD` beats everything — it is the operator kill-switch,
-///    so `STONE_FMA=1 STONE_NO_SIMD=1` runs portable;
-/// 2. `STONE_FMA=1` selects [`MatmulBackend::Fma`] only when the CPU has
-///    both AVX2 and FMA — otherwise it is a **no-op**, falling through to
-///    the ordinary detection (never a panic: the env var must be safe to
-///    set fleet-wide);
-/// 3. plain AVX2 detection picks [`MatmulBackend::Simd`];
-/// 4. else [`MatmulBackend::Portable`].
-fn backend_from_flags(no_simd: bool, fma_requested: bool, avx2: bool, fma: bool) -> MatmulBackend {
-    if no_simd {
-        MatmulBackend::Portable
-    } else if fma_requested && avx2 && fma {
-        MatmulBackend::Fma
-    } else if avx2 {
+/// combination without faking CPUID or the environment: `STONE_NO_SIMD`
+/// (the operator kill-switch) forces [`MatmulBackend::Portable`], else
+/// AVX2 detection picks [`MatmulBackend::Simd`], else
+/// [`MatmulBackend::Portable`].
+fn backend_from_flags(no_simd: bool, avx2: bool) -> MatmulBackend {
+    if avx2 && !no_simd {
         MatmulBackend::Simd
     } else {
         MatmulBackend::Portable
@@ -138,21 +108,14 @@ fn env_flag(name: &str) -> bool {
     std::env::var(name).map(|v| !v.trim().is_empty() && v.trim() != "0").unwrap_or(false)
 }
 
-/// The backend chosen from the environment via [`backend_from_flags`]:
-/// `STONE_NO_SIMD=1` forces [`MatmulBackend::Portable`], `STONE_FMA=1`
-/// opts into [`MatmulBackend::Fma`] where the CPU supports it, otherwise
-/// AVX2 runtime detection decides. Read once per process (this sits under
-/// every matmul call).
-fn configured_backend() -> MatmulBackend {
+/// The backend the environment selects: `STONE_NO_SIMD` set to anything
+/// but `0`/empty forces [`MatmulBackend::Portable`], otherwise AVX2
+/// runtime detection decides. Read once per process (this sits under
+/// every matmul call); [`super::with_backend`] overrides it in a scope.
+#[must_use]
+pub fn configured_backend() -> MatmulBackend {
     static CONFIGURED: OnceLock<MatmulBackend> = OnceLock::new();
-    *CONFIGURED.get_or_init(|| {
-        backend_from_flags(
-            env_flag("STONE_NO_SIMD"),
-            env_flag("STONE_FMA"),
-            simd_available(),
-            fma_available(),
-        )
-    })
+    *CONFIGURED.get_or_init(|| backend_from_flags(env_flag("STONE_NO_SIMD"), simd_available()))
 }
 
 /// The backend the dispatchers will hand to the tile loop: the scoped
@@ -161,7 +124,6 @@ pub fn active_backend() -> MatmulBackend {
     match OVERRIDE.load(Ordering::Relaxed) {
         1 => MatmulBackend::Portable,
         2 => MatmulBackend::Simd,
-        3 => MatmulBackend::Fma,
         _ => configured_backend(),
     }
 }
@@ -175,21 +137,16 @@ pub fn active_backend() -> MatmulBackend {
 /// a test/bench hook for comparing the two backends, so it must be able
 /// to select [`MatmulBackend::Simd`] in an environment whose *default*
 /// is portable. Tests honoring the env var as an operator kill-switch
-/// should check it before requesting the SIMD backend.
+/// should ask [`configured_backend`] before requesting the SIMD backend.
 ///
 /// # Panics
 ///
 /// Panics when [`MatmulBackend::Simd`] is requested on a machine without
-/// AVX2 ([`simd_available`] is `false`), or [`MatmulBackend::Fma`] on one
-/// without AVX2+FMA ([`fma_available`] is `false`).
+/// AVX2 ([`simd_available`] is `false`).
 pub fn with_backend<R>(backend: MatmulBackend, f: impl FnOnce() -> R) -> R {
     assert!(
         backend != MatmulBackend::Simd || simd_available(),
         "SIMD backend requested but AVX2 is not available on this CPU"
-    );
-    assert!(
-        backend != MatmulBackend::Fma || fma_available(),
-        "FMA backend requested but AVX2+FMA is not available on this CPU"
     );
     struct Restore(usize);
     impl Drop for Restore {
@@ -200,7 +157,6 @@ pub fn with_backend<R>(backend: MatmulBackend, f: impl FnOnce() -> R) -> R {
     let code = match backend {
         MatmulBackend::Portable => 1,
         MatmulBackend::Simd => 2,
-        MatmulBackend::Fma => 3,
     };
     let _restore = Restore(OVERRIDE.swap(code, Ordering::SeqCst));
     f()
@@ -217,12 +173,8 @@ pub fn tile(apack: &[f32], bpanel: &[f32], backend: MatmulBackend) -> Acc {
         MatmulBackend::Portable => tile_portable(apack, bpanel),
         #[cfg(target_arch = "x86_64")]
         MatmulBackend::Simd => super::simd::tile(apack, bpanel),
-        #[cfg(target_arch = "x86_64")]
-        MatmulBackend::Fma => super::simd::tile_fma(apack, bpanel),
         #[cfg(not(target_arch = "x86_64"))]
-        MatmulBackend::Simd | MatmulBackend::Fma => {
-            unreachable!("SIMD/FMA backends cannot be selected off x86_64")
-        }
+        MatmulBackend::Simd => unreachable!("the SIMD backend cannot be selected off x86_64"),
     }
 }
 
@@ -293,57 +245,22 @@ mod tests {
     }
 
     #[test]
-    fn fma_tile_is_within_one_contraction_of_portable() {
-        if !fma_available() {
-            return; // nothing to compare on this machine
-        }
-        let kc = 37;
-        let apack = seq(kc * TILE_ROWS, 0.37);
-        let bpanel = seq(kc * LANES, 0.73);
-        let portable = tile(&apack, &bpanel, MatmulBackend::Portable);
-        let fma = tile(&apack, &bpanel, MatmulBackend::Fma);
-        for (r, (prow, frow)) in portable.iter().zip(&fma).enumerate() {
-            for (l, (&p, &f)) in prow.iter().zip(frow).enumerate() {
-                // k·ε·Σ|a||b| per element (see MatmulBackend::Fma).
-                let abs_dot: f32 =
-                    (0..kc).map(|t| (apack[t * TILE_ROWS + r] * bpanel[t * LANES + l]).abs()).sum();
-                let bound = kc as f32 * f32::EPSILON * abs_dot;
-                assert!((p - f).abs() <= bound, "tile ({r},{l}): |{p} - {f}| > {bound}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_inner_dimension_yields_zero_tile() {
         let acc = tile(&[], &[], MatmulBackend::Portable);
         assert_eq!(acc, [[0.0; LANES]; TILE_ROWS]);
     }
 
-    /// The `STONE_FMA` no-op contract: the flag must be safe to set on any
-    /// machine and in any combination, so every branch of the selection
-    /// policy is pinned here without touching real CPUID or env state.
+    /// Every branch of the selection policy, pinned without touching real
+    /// CPUID or env state.
     #[test]
     fn backend_flag_policy_covers_every_combination() {
-        use MatmulBackend::{Fma, Portable, Simd};
-        // The kill-switch beats everything, including an FMA request.
-        for fma_req in [false, true] {
-            for avx2 in [false, true] {
-                for fma in [false, true] {
-                    assert_eq!(backend_from_flags(true, fma_req, avx2, fma), Portable);
-                }
-            }
-        }
-        // STONE_FMA=1 engages only with full hardware support…
-        assert_eq!(backend_from_flags(false, true, true, true), Fma);
-        // …and is a no-op (plain detection) when AVX2 or FMA is missing.
-        assert_eq!(backend_from_flags(false, true, true, false), Simd);
-        assert_eq!(backend_from_flags(false, true, false, false), Portable);
-        assert_eq!(backend_from_flags(false, true, false, true), Portable);
-        // Without the flag: ordinary AVX2 detection, FMA never selected.
-        assert_eq!(backend_from_flags(false, false, true, true), Simd);
-        assert_eq!(backend_from_flags(false, false, true, false), Simd);
-        assert_eq!(backend_from_flags(false, false, false, true), Portable);
-        assert_eq!(backend_from_flags(false, false, false, false), Portable);
+        use MatmulBackend::{Portable, Simd};
+        // The kill-switch beats AVX2 detection.
+        assert_eq!(backend_from_flags(true, true), Portable);
+        assert_eq!(backend_from_flags(true, false), Portable);
+        // Without it: ordinary AVX2 detection.
+        assert_eq!(backend_from_flags(false, true), Simd);
+        assert_eq!(backend_from_flags(false, false), Portable);
     }
 
     #[test]

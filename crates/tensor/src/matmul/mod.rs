@@ -58,7 +58,9 @@ mod reference;
 mod simd;
 
 pub use conv2d::conv2d;
-pub use microkernel::{fma_available, simd_available, with_backend, MatmulBackend};
+pub use microkernel::{
+    configured_backend, fma_available, simd_available, with_backend, MatmulBackend,
+};
 pub use reference::{matmul_a_bt_scalar, matmul_at_b_scalar, matmul_scalar};
 
 use std::sync::OnceLock;
@@ -506,15 +508,10 @@ mod tests {
     fn tiled_kernel_matches_naive_triple_loop_bitwise() {
         // Ragged everywhere: 67 % 8 = 3 rows, 9 % 8 = 1 lane, k = 130.
         // The canonical accumulation order means bit-equality with the
-        // naive loop, not approximate agreement. Pinned to the portable
-        // backend: the contract is mul-then-add per update, which the
-        // opt-in FMA backend deliberately contracts away (a STONE_FMA=1
-        // environment must not fail this test; Simd↔Portable equality is
-        // covered by `backends_are_bitwise_identical_on_ragged_shapes`).
-        let _g = microkernel::backend_test_lock();
+        // naive loop, not approximate agreement.
         let a = pseudo(&[67, 130], 5);
         let b = pseudo(&[130, 9], 6);
-        let c = with_backend(MatmulBackend::Portable, || matmul(&a, &b));
+        let c = matmul(&a, &b);
         for i in 0..67 {
             for j in 0..9 {
                 let mut acc = 0.0f32;
@@ -551,22 +548,16 @@ mod tests {
         // Products are row-independent, so rows 0..3 of a 12-row (tiled)
         // product must be bit-equal to the 3-row (narrow-path) product of
         // the same rows — crossing TILE_MIN_ROWS never changes numbers.
-        // Pinned to portable: the narrow kernels never contract, so under
-        // the opt-in FMA backend the tiled and narrow paths legitimately
-        // diverge (documented on `MatmulBackend::Fma`).
-        let _g = microkernel::backend_test_lock();
         let a = pseudo(&[12, 31], 60);
         let b = pseudo(&[31, 17], 61);
         let bt = pseudo(&[17, 31], 62);
         let a3 = Tensor::from_vec(vec![3, 31], a.as_slice()[..3 * 31].to_vec()).unwrap();
-        with_backend(MatmulBackend::Portable, || {
-            let full = matmul(&a, &b);
-            let narrow = matmul(&a3, &b);
-            assert_eq!(&full.as_slice()[..narrow.len()], narrow.as_slice());
-            let full = matmul_a_bt(&a, &bt);
-            let narrow = matmul_a_bt(&a3, &bt);
-            assert_eq!(&full.as_slice()[..narrow.len()], narrow.as_slice());
-        });
+        let full = matmul(&a, &b);
+        let narrow = matmul(&a3, &b);
+        assert_eq!(&full.as_slice()[..narrow.len()], narrow.as_slice());
+        let full = matmul_a_bt(&a, &bt);
+        let narrow = matmul_a_bt(&a3, &bt);
+        assert_eq!(&full.as_slice()[..narrow.len()], narrow.as_slice());
         // at_b: the narrow axis is the inner dimension; compare a 3-step
         // (narrow) sum against the naive loop to pin the canonical order.
         let at = pseudo(&[3, 9], 63);
@@ -586,18 +577,13 @@ mod tests {
     #[test]
     fn scalar_reference_agrees_with_tiled_kernels() {
         // The PR 3 scalar kernels share the canonical accumulation order,
-        // so on data with no exact zeros they are bit-equal too. Pinned to
-        // portable — the scalar references never contract, so the opt-in
-        // FMA backend legitimately diverges from them.
-        let _g = microkernel::backend_test_lock();
+        // so on data with no exact zeros they are bit-equal too.
         let a = pseudo(&[23, 17], 50);
         let b = pseudo(&[17, 19], 51);
         let at = pseudo(&[17, 23], 52);
         let bt = pseudo(&[19, 17], 53);
-        with_backend(MatmulBackend::Portable, || {
-            assert_eq!(matmul(&a, &b), matmul_scalar(&a, &b));
-            assert_eq!(matmul_at_b(&at, &b), matmul_at_b_scalar(&at, &b));
-            assert_eq!(matmul_a_bt(&a, &bt), matmul_a_bt_scalar(&a, &bt));
-        });
+        assert_eq!(matmul(&a, &b), matmul_scalar(&a, &b));
+        assert_eq!(matmul_at_b(&at, &b), matmul_at_b_scalar(&at, &b));
+        assert_eq!(matmul_a_bt(&a, &bt), matmul_a_bt_scalar(&a, &bt));
     }
 }

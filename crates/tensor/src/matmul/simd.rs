@@ -7,7 +7,7 @@
 //! bounds-checked slices — every load and store goes through a slice whose
 //! length proves the access valid.
 //!
-//! The default kernel is the literal vector transcription of the portable
+//! The kernel is the literal vector transcription of the portable
 //! tile loop: per inner step, one 8-lane load of the packed B panel, then
 //! per tile row a broadcast of the packed A value, a lane multiply
 //! (`vmulps`) and a lane add (`vaddps`) into that row's accumulator
@@ -15,22 +15,14 @@
 //! exactly what the portable kernel's scalar lane arithmetic performs, so
 //! the two backends are **bit-equal** on every input, which
 //! `tests/parallel_determinism.rs` pins.
-//!
-//! [`tile_fma`] is the opt-in exception (PR 6, `STONE_FMA=1`): the same
-//! loop with the multiply and add **contracted** into `vfmadd231ps`. The
-//! contraction skips the intermediate rounding of the product, so its
-//! results are *more* accurate but **not bit-equal** to the other
-//! kernels — which is exactly why it is never a silent default (see
-//! [`super::MatmulBackend::Fma`] for the error envelope and the opt-in
-//! rules).
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::{
-    _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps,
-    _mm256_setzero_ps, _mm256_storeu_ps,
+    _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+    _mm256_storeu_ps,
 };
 
-use super::microkernel::{fma_available, simd_available, Acc, LANES, TILE_ROWS};
+use super::microkernel::{simd_available, Acc, LANES, TILE_ROWS};
 
 /// Computes one register tile with AVX2 intrinsics. Safe wrapper: verifies
 /// AVX2 support (a cached atomic load) before entering the
@@ -64,50 +56,6 @@ unsafe fn tile_avx2(apack: &[f32], bpanel: &[f32]) -> Acc {
         let b = _mm256_loadu_ps(bstep.as_ptr());
         for (va, &a) in vacc.iter_mut().zip(astep) {
             *va = _mm256_add_ps(*va, _mm256_mul_ps(_mm256_set1_ps(a), b));
-        }
-    }
-    let mut acc: Acc = [[0.0; LANES]; TILE_ROWS];
-    for (row, va) in acc.iter_mut().zip(&vacc) {
-        _mm256_storeu_ps(row.as_mut_ptr(), *va);
-    }
-    acc
-}
-
-/// Computes one register tile with fused multiply-add. Safe wrapper:
-/// verifies AVX2+FMA support before entering the `#[target_feature]`
-/// kernel.
-///
-/// # Panics
-///
-/// Panics when the CPU lacks AVX2 or FMA — the dispatchers only select
-/// this backend when `STONE_FMA=1` *and* runtime detection succeeds, so a
-/// panic here means a caller bypassed [`super::MatmulBackend`] selection.
-pub fn tile_fma(apack: &[f32], bpanel: &[f32]) -> Acc {
-    assert!(fma_available(), "FMA microkernel invoked without CPU support");
-    // SAFETY: AVX2 and FMA availability were just verified at runtime.
-    unsafe { tile_avx2_fma(apack, bpanel) }
-}
-
-/// The FMA tile loop: identical structure and accumulation *order* to
-/// [`tile_avx2`], but each inner step issues `vfmadd231ps` instead of a
-/// `vmulps`/`vaddps` pair. One rounding per update instead of two — a
-/// numerics change, bounded by the envelope documented on
-/// [`super::MatmulBackend::Fma`] and pinned by the proptest in
-/// `crates/tensor/tests/properties.rs`.
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2 and FMA.
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tile_avx2_fma(apack: &[f32], bpanel: &[f32]) -> Acc {
-    let mut vacc = [_mm256_setzero_ps(); TILE_ROWS];
-    for (astep, bstep) in apack.chunks_exact(TILE_ROWS).zip(bpanel.chunks_exact(LANES)) {
-        // SAFETY (loadu/storeu): `chunks_exact` yields slices of exactly
-        // LANES / TILE_ROWS elements, so 8-wide unaligned loads from their
-        // base pointers stay in bounds.
-        let b = _mm256_loadu_ps(bstep.as_ptr());
-        for (va, &a) in vacc.iter_mut().zip(astep) {
-            *va = _mm256_fmadd_ps(_mm256_set1_ps(a), b, *va);
         }
     }
     let mut acc: Acc = [[0.0; LANES]; TILE_ROWS];

@@ -4,13 +4,10 @@
 //! microkernel's panels and stores each tile plus its bias straight into
 //! NCHW. It must equal the unfused pipeline — `im2col` per sample, the
 //! scalar reference product, then the bias — **bit for bit**, at any
-//! thread count. The portable backend is pinned: the reference never
-//! contracts a multiply-add, so only the mul+add backends are bit-equal
-//! to it.
+//! thread count, on the environment's backend (AVX2, or portable under
+//! `STONE_NO_SIMD=1`).
 
-use stone_tensor::{
-    conv2d, im2col, matmul_scalar, with_backend, Conv2dGeometry, MatmulBackend, Tensor,
-};
+use stone_tensor::{conv2d, im2col, matmul_scalar, Conv2dGeometry, Tensor};
 
 /// Deterministic values in `[-1, 1)`; one in seven is an exact zero when
 /// `zeros` is set. The scalar reference skips exactly-zero weights, so
@@ -71,9 +68,7 @@ fn fused_conv_equals_im2col_matmul_bias_bitwise() {
             let x = pseudo(&[batch, channels, in_h, in_w], salt + 3, true);
             let want = unfused(&x, &w, &bias, &g);
             for threads in [1, 2] {
-                let y = stone_par::with_threads(threads, || {
-                    with_backend(MatmulBackend::Portable, || conv2d(&x, &w, &bias, &g))
-                });
+                let y = stone_par::with_threads(threads, || conv2d(&x, &w, &bias, &g));
                 assert_eq!(y.shape(), &[batch, oc, g.out_h, g.out_w]);
                 let got = y.as_slice();
                 if let Some(i) = (0..want.len()).find(|&i| got[i].to_bits() != want[i].to_bits()) {

@@ -1,21 +1,7 @@
 //! Property-based tests for the tensor substrate.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
 use proptest::prelude::*;
-use stone_tensor::{
-    col2im, fma_available, im2col, matmul, matmul_a_bt, matmul_at_b, with_backend, Conv2dGeometry,
-    MatmulBackend, Tensor,
-};
-
-/// `with_backend` installs a process-wide override, so the tests here that
-/// pin a backend serialize through this lock (cargo runs test fns in this
-/// binary concurrently).
-static BACKEND_LOCK: Mutex<()> = Mutex::new(());
-
-fn backend_lock() -> MutexGuard<'static, ()> {
-    BACKEND_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use stone_tensor::{col2im, im2col, matmul, matmul_a_bt, matmul_at_b, Conv2dGeometry, Tensor};
 
 fn tensor_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
@@ -139,17 +125,14 @@ fn salted(rows: usize, cols: usize, salt: u32) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every kernel variant — register-tiled, narrow-path, either
-    /// non-contracting SIMD backend — must match the naive triple loop
-    /// **bitwise**, not approximately: tiling and packing regroup which
-    /// elements are computed together but never reorder any element's own
-    /// sum (the canonical accumulation order of `docs/PERFORMANCE.md`).
-    /// Shapes are drawn so every combination of full and ragged register
-    /// tiles, and outputs narrower than one tile, comes up. Pinned to the
-    /// portable backend so a `STONE_FMA=1` environment (whose opt-in
-    /// backend contracts the multiply-add and is exempt from bitwise
-    /// equality by design) does not fail it; the FMA envelope has its own
-    /// property below.
+    /// Every kernel variant — register-tiled, narrow-path, on the
+    /// environment's backend (AVX2, or portable under `STONE_NO_SIMD=1`) —
+    /// must match the naive triple loop **bitwise**, not approximately:
+    /// tiling and packing regroup which elements are computed together but
+    /// never reorder any element's own sum (the canonical accumulation
+    /// order of `docs/PERFORMANCE.md`). Shapes are drawn so every
+    /// combination of full and ragged register tiles, and outputs narrower
+    /// than one tile, comes up.
     #[test]
     fn kernel_variants_match_naive_triple_loop_bitwise(
         m in 1usize..35,
@@ -157,15 +140,12 @@ proptest! {
         n in 1usize..35,
         salt in 0u32..1_000_000,
     ) {
-        let _g = backend_lock();
         let a = salted(m, k, salt);
         let b = salted(k, n, salt.wrapping_add(1));
         let at = salted(k, m, salt.wrapping_add(2));
         let bt = salted(n, k, salt.wrapping_add(3));
 
-        let (c, c_atb, c_abt) = with_backend(MatmulBackend::Portable, || {
-            (matmul(&a, &b), matmul_at_b(&at, &b), matmul_a_bt(&a, &bt))
-        });
+        let (c, c_atb, c_abt) = (matmul(&a, &b), matmul_at_b(&at, &b), matmul_a_bt(&a, &bt));
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
@@ -195,64 +175,6 @@ proptest! {
                     acc += a.at2(i, p) * bt.at2(j, p);
                 }
                 prop_assert_eq!(c.at2(i, j), acc, "matmul_a_bt ({},{})", i, j);
-            }
-        }
-    }
-
-    /// The `STONE_FMA=1` accuracy envelope (documented on
-    /// `MatmulBackend::Fma`): the contracted kernel keeps the canonical
-    /// accumulation order, so each element differs from the portable
-    /// result by at most one rounding per inner step —
-    /// `|fma - portable| ≤ k · ε · Σₚ|a[i,p]|·|b[p,j]|`. Random shapes
-    /// include ragged register tiles in every dimension; the narrow
-    /// (< one tile) paths never contract, so outputs in that regime must
-    /// be **bit-equal** regardless of backend. Vacuous on machines
-    /// without AVX2+FMA, where `STONE_FMA` is a no-op (pinned separately
-    /// by `backend_flag_policy_covers_every_combination`).
-    #[test]
-    fn fma_backend_stays_within_documented_error_envelope(
-        m in 1usize..35,
-        k in 1usize..41,
-        n in 1usize..35,
-        salt in 0u32..1_000_000,
-    ) {
-        if !fma_available() {
-            return Ok(());
-        }
-        let _g = backend_lock();
-        let a = salted(m, k, salt.wrapping_add(7));
-        let b = salted(k, n, salt.wrapping_add(8));
-        let at = salted(k, m, salt.wrapping_add(9));
-        let bt = salted(n, k, salt.wrapping_add(10));
-
-        let run = || (matmul(&a, &b), matmul_at_b(&at, &b), matmul_a_bt(&a, &bt));
-        let portable = with_backend(MatmulBackend::Portable, run);
-        let fma = with_backend(MatmulBackend::Fma, run);
-
-        // Per-element |a|·|b| dot products for the three variants.
-        let abs_dot = |i: usize, j: usize, variant: usize| -> f32 {
-            (0..k)
-                .map(|p| match variant {
-                    0 => (a.at2(i, p) * b.at2(p, j)).abs(),
-                    1 => (at.at2(p, i) * b.at2(p, j)).abs(),
-                    _ => (a.at2(i, p) * bt.at2(j, p)).abs(),
-                })
-                .sum()
-        };
-        for (variant, (p, f), name) in [
-            (0, (&portable.0, &fma.0), "matmul"),
-            (1, (&portable.1, &fma.1), "matmul_at_b"),
-            (2, (&portable.2, &fma.2), "matmul_a_bt"),
-        ] {
-            for i in 0..m {
-                for j in 0..n {
-                    let (pv, fv) = (p.at2(i, j), f.at2(i, j));
-                    let bound = k as f32 * f32::EPSILON * abs_dot(i, j, variant);
-                    prop_assert!(
-                        (pv - fv).abs() <= bound,
-                        "{} ({},{}): |{} - {}| > {}", name, i, j, pv, fv, bound
-                    );
-                }
             }
         }
     }

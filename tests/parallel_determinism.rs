@@ -2,21 +2,18 @@
 //! parallel path — tiled matmul, batched embedding, parallel KNN sweep,
 //! suite sharding, the `LocalizationServer` batch executors, and the
 //! concurrent experiment runner — produces **bitwise-identical** results
-//! at thread counts 1, 2 and 8, and the AVX2 matmul microkernels are
+//! at thread counts 1, 2 and 8, and the AVX2 matmul microkernel is
 //! bit-equal to the `STONE_NO_SIMD` portable fallback. Since PR 6 every
 //! parallel region runs on the long-lived `stone-par` worker pool, so
 //! these tests also pin that results are independent of pool state
 //! (warm, cold, shared across tests), and they cover the sub-2²⁰-MAC
 //! sizes that only parallelize now that dispatch costs ~3.3 µs.
 //!
-//! `stone_par::with_threads` installs a process-wide override, so every
-//! test in this binary takes `THREAD_LOCK` before touching it.
-//!
-//! Comparisons between *batched* and *single-scan* execution are pinned
-//! to the portable backend: the opt-in `STONE_FMA=1` backend contracts
-//! only the tiled microkernel, so batch-vs-single equality legitimately
-//! does not hold under it (documented on `MatmulBackend::Fma`), while
-//! thread-count invariance holds on every backend, FMA included.
+//! `stone_par::with_threads` and `stone_tensor::with_backend` install
+//! process-wide overrides, so every test in this binary takes
+//! `THREAD_LOCK` before touching them. Apart from the explicit
+//! portable-vs-AVX2 comparison, every test runs on the environment's
+//! backend: AVX2 by default, portable under `STONE_NO_SIMD=1`.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -33,7 +30,10 @@ use stone_eval::{Experiment, ExperimentReport};
 use stone_par::with_threads;
 use stone_radio::Point2;
 use stone_serve::{LocalizationServer, ModelRegistry, ServerConfig};
-use stone_tensor::{matmul, matmul_a_bt, matmul_at_b, rng::uniform_tensor, Tensor};
+use stone_tensor::{
+    configured_backend, matmul, matmul_a_bt, matmul_at_b, rng::uniform_tensor, with_backend,
+    MatmulBackend, Tensor,
+};
 
 static THREAD_LOCK: Mutex<()> = Mutex::new(());
 
@@ -76,16 +76,12 @@ fn matmul_variants_are_bitwise_identical_across_thread_counts() {
 #[test]
 fn simd_kernels_are_bitwise_identical_to_no_simd_fallback() {
     let _g = lock();
-    if !stone_tensor::simd_available() {
-        // Single-backend machine: the contract is vacuous here.
-        return;
-    }
-    if std::env::var("STONE_NO_SIMD").is_ok_and(|v| !v.trim().is_empty() && v.trim() != "0") {
-        // STONE_NO_SIMD=1 is the operator's AVX2 kill-switch, and
-        // `with_backend(Simd)` would override it by design (it's a test
-        // hook) — honor the kill-switch here so the CI no-SIMD job never
-        // executes AVX2 code. The default-environment run of this test
-        // covers the comparison.
+    if configured_backend() != MatmulBackend::Simd {
+        // Either a single-backend machine (no AVX2: the contract is vacuous
+        // here) or STONE_NO_SIMD=1, the operator's AVX2 kill-switch, which
+        // `with_backend(Simd)` would override by design (it's a test hook).
+        // Honor it so the CI no-SIMD job never executes AVX2 code; the
+        // default-environment run of this test covers the comparison.
         return;
     }
     // The AVX2 microkernel must be an execution strategy, never a numerics
@@ -106,13 +102,8 @@ fn simd_kernels_are_bitwise_identical_to_no_simd_fallback() {
             ]
         };
         for nt in THREAD_COUNTS {
-            let portable =
-                stone_tensor::with_backend(stone_tensor::MatmulBackend::Portable, || {
-                    with_threads(nt, run)
-                });
-            let simd = stone_tensor::with_backend(stone_tensor::MatmulBackend::Simd, || {
-                with_threads(nt, run)
-            });
+            let portable = with_backend(MatmulBackend::Portable, || with_threads(nt, run));
+            let simd = with_backend(MatmulBackend::Simd, || with_threads(nt, run));
             assert_eq!(portable, simd, "{m}x{k}x{n} diverged at {nt} threads");
         }
     }
@@ -140,16 +131,10 @@ fn matmul_parallel_path_equals_pre_parallel_reference() {
             }
         }
     }
-    // Pinned portable: equality with the naive loop is a mul-then-add
-    // contract that the opt-in STONE_FMA=1 backend deliberately contracts
-    // away (thread-count invariance, which holds on every backend, is
-    // covered by the tests above).
-    stone_tensor::with_backend(stone_tensor::MatmulBackend::Portable, || {
-        for nt in THREAD_COUNTS {
-            let c = with_threads(nt, || matmul(&a, &b));
-            assert_eq!(c.as_slice(), naive.as_slice(), "{nt} threads");
-        }
-    });
+    for nt in THREAD_COUNTS {
+        let c = with_threads(nt, || matmul(&a, &b));
+        assert_eq!(c.as_slice(), naive.as_slice(), "{nt} threads");
+    }
 }
 
 #[test]
@@ -208,44 +193,40 @@ fn knn_sweep_and_batch_parallelize_deterministically_at_new_thresholds() {
 fn localization_server_batching_is_deterministic_across_thread_counts() {
     let _g = lock();
     // The executor's batch *composition* depends on arrival timing, so
-    // this only pins determinism when results are independent of batch
-    // grouping — true of every non-contracting backend (narrow and tiled
-    // paths are bit-equal) but deliberately not of STONE_FMA=1; pin
-    // portable so the test is meaningful in any environment.
-    stone_tensor::with_backend(stone_tensor::MatmulBackend::Portable, || {
-        let suite = office_suite(&SuiteConfig::tiny(43));
-        let registry = Arc::new(ModelRegistry::new());
-        registry.publish("venue", tiny_stone().fit(&suite.train, 43));
-        let snapshot = registry.snapshot("venue").expect("published");
-        let scans: Vec<Vec<f32>> = suite
-            .buckets
-            .iter()
-            .flat_map(|b| b.trajectories.iter().flat_map(|t| &t.fingerprints))
-            .map(|f| f.rssi.clone())
-            .take(24)
-            .collect();
-        let direct: Vec<_> =
-            with_threads(1, || scans.iter().map(|s| snapshot.model().locate(s)).collect());
-        for nt in THREAD_COUNTS {
-            let answers: Vec<_> = with_threads(nt, || {
-                let server = LocalizationServer::start(
-                    Arc::clone(&registry),
-                    ServerConfig {
-                        max_batch: 8,
-                        max_wait: Duration::from_millis(5),
-                        queue_capacity: 64,
-                        workers: 1,
-                        ..ServerConfig::default()
-                    },
-                );
-                let handle = server.handle();
-                let tickets: Vec<_> =
-                    scans.iter().map(|s| handle.submit("venue", s).expect("enqueue")).collect();
-                tickets.into_iter().map(|t| t.wait().expect("answered").position).collect()
-            });
-            assert_eq!(answers, direct, "served positions diverged at {nt} threads");
-        }
-    });
+    // this pins determinism only because results are independent of batch
+    // grouping: the narrow and tiled paths are bit-equal.
+    let suite = office_suite(&SuiteConfig::tiny(43));
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("venue", tiny_stone().fit(&suite.train, 43));
+    let snapshot = registry.snapshot("venue").expect("published");
+    let scans: Vec<Vec<f32>> = suite
+        .buckets
+        .iter()
+        .flat_map(|b| b.trajectories.iter().flat_map(|t| &t.fingerprints))
+        .map(|f| f.rssi.clone())
+        .take(24)
+        .collect();
+    let direct: Vec<_> =
+        with_threads(1, || scans.iter().map(|s| snapshot.model().locate(s)).collect());
+    for nt in THREAD_COUNTS {
+        let answers: Vec<_> = with_threads(nt, || {
+            let server = LocalizationServer::start(
+                Arc::clone(&registry),
+                ServerConfig {
+                    max_batch: 8,
+                    max_wait: Duration::from_millis(5),
+                    queue_capacity: 64,
+                    workers: 1,
+                    ..ServerConfig::default()
+                },
+            );
+            let handle = server.handle();
+            let tickets: Vec<_> =
+                scans.iter().map(|s| handle.submit("venue", s).expect("enqueue")).collect();
+            tickets.into_iter().map(|t| t.wait().expect("answered").position).collect()
+        });
+        assert_eq!(answers, direct, "served positions diverged at {nt} threads");
+    }
 }
 
 fn tiny_stone() -> StoneBuilder {
@@ -269,14 +250,8 @@ fn embed_batch_matches_single_scan_embeddings_across_thread_counts() {
     let raws: Vec<&[f32]> =
         suite.train.records().iter().take(20).map(|r| r.rssi.as_slice()).collect();
     assert_thread_invariant(|| loc.embed_batch(&raws));
-    // Batch-vs-single equality is a mul-then-add contract, so it is pinned
-    // to the portable backend: STONE_FMA=1 contracts only the tiled
-    // (batched) microkernel, making this comparison legitimately fail on
-    // the FMA backend (see the module docs).
-    stone_tensor::with_backend(stone_tensor::MatmulBackend::Portable, || {
-        let singles: Vec<Vec<f32>> = raws.iter().map(|r| loc.embed(r)).collect();
-        assert_eq!(loc.embed_batch(&raws), singles, "batched forward != per-scan forward");
-    });
+    let singles: Vec<Vec<f32>> = raws.iter().map(|r| loc.embed(r)).collect();
+    assert_eq!(loc.embed_batch(&raws), singles, "batched forward != per-scan forward");
 }
 
 #[test]
@@ -287,11 +262,8 @@ fn locate_batch_matches_single_scan_locate() {
     let raws: Vec<&[f32]> =
         suite.buckets[0].trajectories[0].fingerprints.iter().map(|f| f.rssi.as_slice()).collect();
     assert_thread_invariant(|| loc.locate_batch(&raws));
-    // Pinned portable for the same reason as the embedding test above.
-    stone_tensor::with_backend(stone_tensor::MatmulBackend::Portable, || {
-        let singles: Vec<_> = raws.iter().map(|r| loc.locate(r)).collect();
-        assert_eq!(loc.locate_batch(&raws), singles);
-    });
+    let singles: Vec<_> = raws.iter().map(|r| loc.locate(r)).collect();
+    assert_eq!(loc.locate_batch(&raws), singles);
 }
 
 /// The comparable content of a suite: train records, bucket labels, and
