@@ -20,7 +20,7 @@
 //!   weights         (u32 byte length; stone_nn::save_weights blob)
 //!   knn entries     (u32 count, u32 dim; per entry: u32 rp,
 //!                    f64 x, f64 y, dim × f32 embedding)
-//!   u32 crc32       (version ≥ 2: IEEE CRC32 of every preceding byte)
+//!   u32 crc32       (IEEE CRC32 of every preceding byte)
 //! ```
 //!
 //! Floats are stored by bit pattern (`to_le_bytes`/`from_le_bytes`), so
@@ -46,17 +46,17 @@ use crate::trainer::{EpochStats, TrainedEncoder, TrainerConfig};
 use crate::triplet::SelectorKind;
 
 const MAGIC: &[u8; 4] = b"STNL";
-/// Current format version. Version 2 appends a little-endian IEEE CRC32 of
-/// every preceding byte, so a flipped bit anywhere in the blob — header,
-/// weights, reference set — fails [`load`] with
-/// [`ModelIoError::ChecksumMismatch`] instead of silently deploying a
-/// corrupted model. Version-1 blobs (no checksum) are still accepted.
+/// The format version, and the only one [`load`] accepts. Version 2 ends
+/// with a little-endian IEEE CRC32 of every preceding byte, so a flipped bit
+/// anywhere in the blob — header, weights, reference set — fails [`load`]
+/// with [`ModelIoError::ChecksumMismatch`] instead of silently deploying a
+/// corrupted model. Version-1 blobs carried no checksum and are refused
+/// with [`ModelIoError::UnsupportedVersion`], so every blob that loads has
+/// been verified.
 const VERSION: u32 = 2;
-/// Oldest format version [`load`] still accepts.
-const MIN_VERSION: u32 = 1;
 
 /// IEEE CRC32 (reflected, polynomial 0xEDB88320) — the checksum sealing a
-/// version-2 blob. Bitwise implementation: model blobs are published rarely
+/// blob. Bitwise implementation: model blobs are published rarely
 /// and are at most a few hundred KiB, so a lookup table buys nothing here.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = u32::MAX;
@@ -100,7 +100,7 @@ pub enum ModelIoError {
     /// architecture the stored configuration describes.
     Weights(WeightIoError),
     /// The blob's trailing CRC32 does not match its content — the bytes
-    /// were corrupted in transit or at rest (version ≥ 2 blobs only).
+    /// were corrupted in transit or at rest.
     ChecksumMismatch {
         /// The checksum stored in the blob's trailer.
         stored: u32,
@@ -114,11 +114,7 @@ impl std::fmt::Display for ModelIoError {
         match self {
             ModelIoError::BadHeader => write!(f, "bad model-file header"),
             ModelIoError::UnsupportedVersion { version } => {
-                write!(
-                    f,
-                    "unsupported model format version {version} \
-                     (supported: {MIN_VERSION}..={VERSION})"
-                )
+                write!(f, "unsupported model format version {version} (supported: {VERSION})")
             }
             ModelIoError::Truncated => write!(f, "model data truncated"),
             ModelIoError::TrailingBytes { extra } => {
@@ -304,9 +300,9 @@ pub fn save(loc: &StoneLocalizer) -> Vec<u8> {
         }
     }
 
-    // Version-2 trailer: CRC32 of everything above, so any corruption of
-    // the blob — including flipped weight bits that would otherwise decode
-    // fine — fails load() instead of deploying silently.
+    // Trailer: CRC32 of everything above, so any corruption of the blob —
+    // including flipped weight bits that would otherwise decode fine — fails
+    // load() instead of deploying silently.
     let crc = crc32(&w.bytes);
     w.u32(crc);
     w.bytes
@@ -324,24 +320,21 @@ pub fn load(bytes: &[u8]) -> Result<StoneLocalizer, ModelIoError> {
     if bytes.len() < 8 || &bytes[..4] != MAGIC {
         return Err(ModelIoError::BadHeader);
     }
-    let mut r = Reader { bytes, pos: 4 };
-    let version = r.u32()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte version"));
+    if version != VERSION {
         return Err(ModelIoError::UnsupportedVersion { version });
     }
-    if version >= 2 {
-        // The checksum is verified over the whole content *before* any
-        // field is trusted; the reader is then re-bounded to the content so
-        // the trailer itself never parses as model data.
-        let content_len =
-            bytes.len().checked_sub(4).filter(|&n| n >= 8).ok_or(ModelIoError::Truncated)?;
-        let stored = u32::from_le_bytes(bytes[content_len..].try_into().expect("4-byte trailer"));
-        let computed = crc32(&bytes[..content_len]);
-        if stored != computed {
-            return Err(ModelIoError::ChecksumMismatch { stored, computed });
-        }
-        r = Reader { bytes: &bytes[..content_len], pos: 8 };
+    // The checksum is verified over the whole content *before* any field is
+    // trusted; the reader is then bounded to the content so the trailer
+    // itself never parses as model data.
+    let content_len =
+        bytes.len().checked_sub(4).filter(|&n| n >= 8).ok_or(ModelIoError::Truncated)?;
+    let stored = u32::from_le_bytes(bytes[content_len..].try_into().expect("4-byte trailer"));
+    let computed = crc32(&bytes[..content_len]);
+    if stored != computed {
+        return Err(ModelIoError::ChecksumMismatch { stored, computed });
     }
+    let mut r = Reader { bytes: &bytes[..content_len], pos: 8 };
 
     let trainer = TrainerConfig {
         embed_dim: r.u32()? as usize,
@@ -478,7 +471,7 @@ mod tests {
         assert_eq!(loaded.knn().len(), loc.knn().len());
     }
 
-    /// Recomputes the version-2 CRC32 trailer after a test deliberately
+    /// Recomputes the CRC32 trailer after a test deliberately
     /// corrupted some field, so the *structural* validation under test is
     /// reached instead of the checksum tripping first.
     fn reseal(blob: &mut [u8]) {
@@ -576,16 +569,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_blobs_without_checksum_still_load() {
+    fn legacy_v1_blobs_without_checksum_are_refused() {
         // A version-1 blob is the version-2 content minus the CRC trailer
         // with the version field rewound — published by any pre-CRC build.
+        // Loading it would skip the checksum, so it is refused outright.
         let loc = tiny_localizer(9);
         let v2 = save(&loc);
         let mut v1 = v2[..v2.len() - 4].to_vec();
         v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let loaded = load(&v1).expect("legacy blob loads");
-        // Re-serializing the legacy load produces today's sealed format.
-        assert_eq!(save(&loaded), v2);
+        assert_eq!(load(&v1).unwrap_err(), ModelIoError::UnsupportedVersion { version: 1 });
     }
 
     #[test]

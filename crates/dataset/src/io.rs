@@ -1,7 +1,7 @@
-//! CSV import/export of fingerprint datasets and evaluation buckets.
+//! CSV import/export of fingerprint datasets.
 //!
-//! The dataset format mirrors common public fingerprint datasets (one row
-//! per scan, one column per AP, then label columns):
+//! The format mirrors common public fingerprint datasets (one row per scan,
+//! one column per AP, then label columns):
 //!
 //! ```text
 //! ap000,ap001,...,rp,x,y,time_h,ci
@@ -11,18 +11,14 @@
 //! Floats are written with `{}` (Rust's shortest round-trip
 //! representation), **never** with a fixed precision: `from_csv(to_csv(ds))`
 //! reproduces every record bit-for-bit, which the workspace serialization
-//! tests pin down. The bucket format ([`bucket_to_csv`]) adds a one-line
-//! metadata prologue and a trailing `traj` column so trajectory boundaries
-//! survive the round trip — it is the disk-spill format of
-//! [`crate::SuitePlan::spill_buckets`].
+//! tests pin down. [`from_csv`] refuses any non-finite number.
 
 use std::fmt::Write as _;
 
 use stone_radio::{Point2, SimTime};
 
 use crate::dataset::FingerprintDataset;
-use crate::suites::EvalBucket;
-use crate::types::{Fingerprint, ReferencePoint, RpId, Trajectory};
+use crate::types::{Fingerprint, ReferencePoint, RpId};
 
 /// Errors produced when parsing a CSV dataset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,13 +26,12 @@ use crate::types::{Fingerprint, ReferencePoint, RpId, Trajectory};
 pub enum CsvError {
     /// The header row is missing or malformed.
     BadHeader,
-    /// A data row has the wrong number of fields or an unparsable value.
+    /// A data row has the wrong number of fields or an unparsable or
+    /// non-finite value.
     BadRow {
         /// 1-based row number (excluding the header).
         row: usize,
     },
-    /// The bucket metadata prologue is missing or malformed.
-    BadBucketMeta,
 }
 
 impl std::fmt::Display for CsvError {
@@ -44,21 +39,11 @@ impl std::fmt::Display for CsvError {
         match self {
             CsvError::BadHeader => write!(f, "missing or malformed CSV header"),
             CsvError::BadRow { row } => write!(f, "malformed CSV data row {row}"),
-            CsvError::BadBucketMeta => write!(f, "missing or malformed bucket metadata line"),
         }
     }
 }
 
 impl std::error::Error for CsvError {}
-
-/// Writes one fingerprint's RSSI + label fields (shortest round-trip float
-/// representation; no precision truncation).
-fn write_record(out: &mut String, r: &Fingerprint) {
-    for v in &r.rssi {
-        let _ = write!(out, "{v},");
-    }
-    let _ = write!(out, "{},{},{},{},{}", r.rp.0, r.pos.x, r.pos.y, r.time.hours(), r.ci);
-}
 
 /// Serializes a dataset to CSV. Lossless: see the module docs.
 #[must_use]
@@ -69,26 +54,35 @@ pub fn to_csv(ds: &FingerprintDataset) -> String {
     }
     out.push_str("rp,x,y,time_h,ci\n");
     for r in ds.records() {
-        write_record(&mut out, r);
-        out.push('\n');
+        for v in &r.rssi {
+            let _ = write!(out, "{v},");
+        }
+        let _ = writeln!(out, "{},{},{},{},{}", r.rp.0, r.pos.x, r.pos.y, r.time.hours(), r.ci);
     }
     out
 }
 
-/// Parses the shared `rp,x,y,time_h,ci` tail of a data row into a
-/// [`Fingerprint`]; `fields` must hold exactly `ap_count` RSSI columns
-/// before the tail (the caller has already validated the length).
-fn parse_record(fields: &[&str], ap_count: usize, row: usize) -> Result<Fingerprint, CsvError> {
-    let parse_f = |s: &str| s.trim().parse::<f64>().map_err(|_| CsvError::BadRow { row });
-    let mut rssi = Vec::with_capacity(ap_count);
-    for f in &fields[..ap_count] {
-        rssi.push(parse_f(f)? as f32);
+/// Parses one data row: `ap_count` RSSI fields, then `rp,x,y,time_h,ci`.
+/// `None` when the field count is wrong or a field does not parse, or when
+/// a number is not finite once converted to the type it is stored as (an
+/// RSSI of `1e39` parses as an f64 but overflows its f32) or a time is
+/// negative.
+fn parse_row(line: &str, ap_count: usize) -> Option<Fingerprint> {
+    let fields: Vec<&str> = line.split(',').collect();
+    if fields.len() != ap_count + 5 {
+        return None;
     }
-    let rp = RpId(fields[ap_count].trim().parse::<u32>().map_err(|_| CsvError::BadRow { row })?);
-    let pos = Point2::new(parse_f(fields[ap_count + 1])?, parse_f(fields[ap_count + 2])?);
-    let time = SimTime::from_hours(parse_f(fields[ap_count + 3])?);
-    let ci = fields[ap_count + 4].trim().parse::<usize>().map_err(|_| CsvError::BadRow { row })?;
-    Ok(Fingerprint { rssi, rp, pos, time, ci })
+    let float = |s: &str| s.trim().parse::<f64>().ok();
+    let finite = |s: &str| float(s).filter(|v| v.is_finite());
+    let rssi = fields[..ap_count]
+        .iter()
+        .map(|f| float(f).map(|v| v as f32).filter(|v| v.is_finite()))
+        .collect::<Option<Vec<f32>>>()?;
+    let rp = RpId(fields[ap_count].trim().parse::<u32>().ok()?);
+    let pos = Point2::new(finite(fields[ap_count + 1])?, finite(fields[ap_count + 2])?);
+    let time = SimTime::from_hours(finite(fields[ap_count + 3]).filter(|&h| h >= 0.0)?);
+    let ci = fields[ap_count + 4].trim().parse::<usize>().ok()?;
+    Some(Fingerprint { rssi, rp, pos, time, ci })
 }
 
 /// Parses a dataset from CSV produced by [`to_csv`].
@@ -98,7 +92,9 @@ fn parse_record(fields: &[&str], ap_count: usize, row: usize) -> Result<Fingerpr
 ///
 /// # Errors
 ///
-/// Returns [`CsvError`] on a malformed header or row.
+/// Returns [`CsvError`] on a malformed header or row, including a row
+/// holding a non-finite number (`NaN`, `inf`, or a value beyond the range
+/// of the type it is stored as).
 pub fn from_csv(name: &str, text: &str) -> Result<FingerprintDataset, CsvError> {
     let mut lines = text.lines();
     let header = lines.next().ok_or(CsvError::BadHeader)?;
@@ -114,12 +110,7 @@ pub fn from_csv(name: &str, text: &str) -> Result<FingerprintDataset, CsvError> 
         if line.trim().is_empty() {
             continue;
         }
-        let row = i + 1;
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != ap_count + 5 {
-            return Err(CsvError::BadRow { row });
-        }
-        let fp = parse_record(&fields, ap_count, row)?;
+        let fp = parse_row(line, ap_count).ok_or(CsvError::BadRow { row: i + 1 })?;
         if !rps.iter().any(|r| r.id == fp.rp) {
             rps.push(ReferencePoint { id: fp.rp, pos: fp.pos });
         }
@@ -133,96 +124,10 @@ pub fn from_csv(name: &str, text: &str) -> Result<FingerprintDataset, CsvError> 
     Ok(ds)
 }
 
-/// Serializes one evaluation bucket to CSV: a metadata prologue
-/// (`bucket,<label>,<ci>,<time_h>`), then the dataset header with a
-/// trailing `traj` column, then one row per scan tagged with its
-/// trajectory index. Lossless, like [`to_csv`].
-///
-/// # Panics
-///
-/// Panics when a scan's RSSI length differs from `ap_count`, or when the
-/// bucket label contains a comma or line break (which would corrupt the
-/// metadata prologue) — failing at write time, not when the spilled file
-/// is read back and the in-memory bucket may be gone.
-#[must_use]
-pub fn bucket_to_csv(bucket: &EvalBucket, ap_count: usize) -> String {
-    assert!(
-        !bucket.label.contains([',', '\n', '\r']),
-        "bucket label {:?} contains CSV delimiters and would not round-trip",
-        bucket.label
-    );
-    let mut out = String::new();
-    let _ = writeln!(out, "bucket,{},{},{}", bucket.label, bucket.ci, bucket.time.hours());
-    for i in 0..ap_count {
-        let _ = write!(out, "ap{i:03},");
-    }
-    out.push_str("rp,x,y,time_h,ci,traj\n");
-    for (ti, traj) in bucket.trajectories.iter().enumerate() {
-        for r in &traj.fingerprints {
-            assert_eq!(r.rssi.len(), ap_count, "bucket scan AP-universe mismatch");
-            write_record(&mut out, r);
-            let _ = writeln!(out, ",{ti}");
-        }
-    }
-    out
-}
-
-/// Parses an evaluation bucket from CSV produced by [`bucket_to_csv`].
-/// Scans with the same `traj` tag are regrouped, in row order, into the
-/// bucket's trajectories.
-///
-/// # Errors
-///
-/// Returns [`CsvError`] on a malformed prologue, header or row.
-pub fn bucket_from_csv(text: &str) -> Result<EvalBucket, CsvError> {
-    let mut lines = text.lines();
-    let meta: Vec<&str> = lines.next().ok_or(CsvError::BadBucketMeta)?.split(',').collect();
-    if meta.len() != 4 || meta[0] != "bucket" {
-        return Err(CsvError::BadBucketMeta);
-    }
-    let label = meta[1].to_string();
-    let ci: usize = meta[2].trim().parse().map_err(|_| CsvError::BadBucketMeta)?;
-    let time_h: f64 = meta[3].trim().parse().map_err(|_| CsvError::BadBucketMeta)?;
-
-    let header = lines.next().ok_or(CsvError::BadHeader)?;
-    let cols: Vec<&str> = header.split(',').collect();
-    if cols.len() < 7 || cols[cols.len() - 6..] != ["rp", "x", "y", "time_h", "ci", "traj"] {
-        return Err(CsvError::BadHeader);
-    }
-    let ap_count = cols.len() - 6;
-
-    let mut trajectories: Vec<Trajectory> = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let row = i + 1;
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != ap_count + 6 {
-            return Err(CsvError::BadRow { row });
-        }
-        let fp = parse_record(&fields[..ap_count + 5], ap_count, row)?;
-        let ti: usize =
-            fields[ap_count + 5].trim().parse().map_err(|_| CsvError::BadRow { row })?;
-        // Trajectory tags must appear in order without gaps (the writer
-        // emits them grouped 0, 1, 2, ...); a skipped index would silently
-        // fabricate an empty trajectory no writer ever produces.
-        if ti > trajectories.len() {
-            return Err(CsvError::BadRow { row });
-        }
-        if ti == trajectories.len() {
-            trajectories.push(Trajectory::default());
-        }
-        trajectories[ti].fingerprints.push(fp);
-    }
-
-    Ok(EvalBucket { label, ci, time: SimTime::from_hours(time_h), trajectories })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suites::{office_plan, office_suite, SuiteConfig};
+    use crate::suites::{office_suite, SuiteConfig};
 
     #[test]
     fn roundtrip_reproduces_dataset_exactly() {
@@ -254,16 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_roundtrip_reproduces_bucket_exactly() {
-        let cfg = SuiteConfig { trajectories_per_bucket: 2, ..SuiteConfig::tiny(5) };
-        let plan = office_plan(&cfg);
-        let bucket = plan.bucket(7);
-        let csv = bucket_to_csv(&bucket, plan.env().ap_count());
-        let back = bucket_from_csv(&csv).unwrap();
-        assert_eq!(back, bucket);
-    }
-
-    #[test]
     fn rejects_bad_header() {
         assert_eq!(from_csv("x", "a,b,c\n").unwrap_err(), CsvError::BadHeader);
         assert_eq!(from_csv("x", "").unwrap_err(), CsvError::BadHeader);
@@ -275,37 +170,19 @@ mod tests {
         assert_eq!(from_csv("x", text).unwrap_err(), CsvError::BadRow { row: 1 });
         let text2 = "ap000,rp,x,y,time_h,ci\n-40.0,zz,0.0,0.0,1.0,0\n";
         assert_eq!(from_csv("x", text2).unwrap_err(), CsvError::BadRow { row: 1 });
-    }
-
-    #[test]
-    fn rejects_bad_bucket_prologue() {
-        assert_eq!(bucket_from_csv("").unwrap_err(), CsvError::BadBucketMeta);
-        assert_eq!(bucket_from_csv("dataset,CI01,1,8\n").unwrap_err(), CsvError::BadBucketMeta);
-        assert_eq!(bucket_from_csv("bucket,CI01,one,8\n").unwrap_err(), CsvError::BadBucketMeta);
-        // Valid prologue but dataset-style header (missing traj column).
-        assert_eq!(
-            bucket_from_csv("bucket,CI01,1,8\nap000,rp,x,y,time_h,ci\n").unwrap_err(),
-            CsvError::BadHeader
-        );
-    }
-
-    #[test]
-    fn rejects_gapped_trajectory_tags() {
-        // traj jumps 0 -> 2: no writer produces that; accepting it would
-        // fabricate a phantom empty trajectory at index 1.
-        let text = "bucket,CI01,1,8\n\
-                    ap000,rp,x,y,time_h,ci,traj\n\
-                    -40,0,0.5,1,8,1,0\n\
-                    -41,0,0.5,1,8,1,2\n";
-        assert_eq!(bucket_from_csv(text).unwrap_err(), CsvError::BadRow { row: 2 });
-    }
-
-    #[test]
-    #[should_panic(expected = "AP-universe mismatch")]
-    fn bucket_writer_rejects_wrong_ap_count() {
-        let plan = office_plan(&SuiteConfig::tiny(5));
-        let bucket = plan.bucket(0);
-        let _ = bucket_to_csv(&bucket, plan.env().ap_count() + 1);
+        // Non-finite values, checked after conversion to the stored type:
+        // 1e39 is a finite f64 but overflows the f32 RSSI. A negative time
+        // has no `SimTime` either.
+        for row in [
+            "NaN,0,0.0,0.0,1.0,0",
+            "-40.0,0,inf,0.0,1.0,0",
+            "-40.0,0,0.0,0.0,NaN,0",
+            "1e39,0,0.0,0.0,1.0,0",
+            "-40.0,0,0.0,0.0,-1.0,0",
+        ] {
+            let text = format!("ap000,rp,x,y,time_h,ci\n-40.0,0,0.0,0.0,1.0,0\n{row}\n");
+            assert_eq!(from_csv("x", &text).unwrap_err(), CsvError::BadRow { row: 2 }, "{row}");
+        }
     }
 
     #[test]

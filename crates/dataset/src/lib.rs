@@ -17,12 +17,12 @@
 //!   schedules of Sec. V.A (CI 0–2 at 8 AM/3 PM/9 PM of day 0, CI 3–8 daily,
 //!   CI 9–15 monthly; UJI monthly over 15 months) including the AP-removal
 //!   events of Fig. 4;
-//! * sharded, streamable suite plans ([`uji_plan`], [`office_plan`],
-//!   [`basement_plan`] → [`SuitePlan`]): every survey RP and every bucket
-//!   is generated from its own seed-derived RNG stream, so construction
-//!   parallelizes bitwise-deterministically and buckets can be materialized
-//!   on demand or spilled to disk instead of held resident;
-//! * CSV import/export ([`io`]).
+//! * sharded suite plans ([`uji_plan`], [`office_plan`], [`basement_plan`]
+//!   → [`SuitePlan`]): every survey RP and every bucket is generated from
+//!   its own seed-derived RNG stream, so construction parallelizes
+//!   bitwise-deterministically and any one bucket can be materialized on
+//!   demand;
+//! * CSV import/export of datasets ([`io`]).
 //!
 //! # Example
 //!

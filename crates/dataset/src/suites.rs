@@ -13,16 +13,13 @@
 //!   **bitwise-identical** output at any `STONE_THREADS` value (pinned by
 //!   `tests/parallel_determinism.rs`);
 //! * a single bucket can be materialized **on demand** without generating
-//!   the ones before it ([`SuitePlan::bucket`]), which is what makes the
-//!   streaming API ([`SuitePlan::buckets_iter`], [`SuitePlan::spill_buckets`])
-//!   possible: paper-scale sweeps no longer hold the whole timeline
-//!   resident.
+//!   the ones before it ([`SuitePlan::bucket`]), bitwise-identical to its
+//!   twin in the built suite — which is how [`SuitePlan::build`] fans the
+//!   buckets out over `STONE_THREADS` threads.
 //!
 //! [`uji_suite`]/[`office_suite`]/[`basement_suite`] remain the one-call
 //! materializing builders; they are now thin wrappers over
 //! [`uji_plan`]/[`office_plan`]/[`basement_plan`] + [`SuitePlan::build`].
-
-use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -274,9 +271,7 @@ fn serpentine(cols: usize, rps: Vec<ReferencePoint>) -> Vec<ReferencePoint> {
 ///
 /// The plan is the sharding boundary. [`SuitePlan::build`] materializes
 /// everything (buckets in parallel); [`SuitePlan::bucket`] materializes one
-/// bucket on demand; [`SuitePlan::buckets_iter`] streams buckets one at a
-/// time so only a single bucket is ever resident; and
-/// [`SuitePlan::spill_buckets`] streams them straight to CSV files on disk.
+/// bucket on demand.
 ///
 /// # Example
 ///
@@ -377,33 +372,6 @@ impl SuitePlan {
             })
             .collect();
         EvalBucket { label: label.clone(), ci: *ci, time: *time, trajectories }
-    }
-
-    /// Streams the evaluation buckets in chronological order, materializing
-    /// each on demand: only the bucket currently yielded is resident. A
-    /// streamed bucket is bitwise-identical to its [`SuitePlan::build`]
-    /// twin.
-    pub fn buckets_iter(&self) -> impl Iterator<Item = EvalBucket> + '_ {
-        (0..self.bucket_count()).map(|i| self.bucket(i))
-    }
-
-    /// Streams every bucket to `dir` as one CSV file per bucket (named
-    /// `<suite>_<label>.csv`, format of [`crate::io::bucket_to_csv`]),
-    /// returning the written paths in timeline order. At most one bucket is
-    /// resident at a time — the disk-spill path for paper-scale sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating `dir` or writing a file.
-    pub fn spill_buckets(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut paths = Vec::with_capacity(self.bucket_count());
-        for bucket in self.buckets_iter() {
-            let path = dir.join(format!("{}_{}.csv", self.name.to_lowercase(), bucket.label));
-            std::fs::write(&path, crate::io::bucket_to_csv(&bucket, self.env.ap_count()))?;
-            paths.push(path);
-        }
-        Ok(paths)
     }
 
     /// Materializes the whole suite: the offline survey (sharded per RP)
@@ -686,7 +654,7 @@ mod tests {
         let cfg = SuiteConfig::tiny(11);
         let plan = uji_plan(&cfg);
         let suite = plan.build();
-        let streamed: Vec<EvalBucket> = plan.buckets_iter().collect();
+        let streamed: Vec<EvalBucket> = (0..plan.bucket_count()).map(|i| plan.bucket(i)).collect();
         assert_eq!(streamed, suite.buckets);
         assert_eq!(plan.train().records(), suite.train.records());
     }
@@ -707,7 +675,8 @@ mod tests {
         // were generated first — pin that by comparing against a fresh plan
         // that only ever touches bucket 5.
         let cfg = SuiteConfig::tiny(13);
-        let all: Vec<EvalBucket> = office_plan(&cfg).buckets_iter().collect();
+        let plan = office_plan(&cfg);
+        let all: Vec<EvalBucket> = (0..plan.bucket_count()).map(|i| plan.bucket(i)).collect();
         let only_five = office_plan(&cfg).bucket(5);
         assert_eq!(only_five, all[5]);
     }

@@ -1,11 +1,8 @@
 //! The long-term evaluation loop.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
-use stone_dataset::{
-    EvalBucket, FingerprintDataset, Framework, Localizer, LongTermSuite, SuitePlan,
-};
+use stone_dataset::{EvalBucket, Framework, Localizer, LongTermSuite};
 use stone_radio::Point2;
 
 use crate::metrics::mean_error_m;
@@ -76,10 +73,6 @@ impl Experiment {
     /// one. Buckets within a task stay sequential: bucket `t` must be
     /// evaluated before the localizer may adapt on bucket `t`'s scans.
     ///
-    /// For paper-scale suites that should not be held resident, see
-    /// [`Experiment::run_streamed`], which produces an identical report
-    /// from a [`SuitePlan`] while materializing one bucket at a time.
-    ///
     /// # Panics
     ///
     /// Panics when the suite has no buckets or a bucket has no trajectories.
@@ -88,132 +81,6 @@ impl Experiment {
         assert!(!suite.buckets.is_empty(), "suite has no evaluation buckets");
         let series = stone_par::par_map(frameworks, |_, fw| self.evaluate_one(suite, *fw));
         ExperimentReport { suite: suite.name.clone(), bucket_labels: suite.bucket_labels(), series }
-    }
-
-    /// Walks every framework through the suite's bucket timeline without
-    /// ever holding more than one bucket resident: buckets are materialized
-    /// on demand from the plan's per-bucket RNG streams and dropped as soon
-    /// as every framework has been evaluated (and offered adaptation data)
-    /// on them.
-    ///
-    /// The report is **identical** to [`Experiment::run`] on the
-    /// materialized suite (`plan.build()`): bucket bytes are the same
-    /// (sharded generation is scheduling-independent), training uses the
-    /// same `fit(train, seed)` calls, and buckets are visited in the same
-    /// chronological order. The trade is concurrency shape, not results:
-    /// the streamed walk evaluates frameworks bucket-by-bucket on one
-    /// thread (inner paths — batched embedding, the KNN sweep — still
-    /// parallelize), where `run` parallelizes across frameworks but needs
-    /// the full timeline in memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the plan has no buckets or a bucket has no trajectories.
-    #[must_use]
-    pub fn run_streamed(
-        &self,
-        plan: &SuitePlan,
-        frameworks: &[&dyn Framework],
-    ) -> ExperimentReport {
-        assert!(plan.bucket_count() > 0, "suite plan has no evaluation buckets");
-        self.walk_timeline(
-            plan.name().to_string(),
-            plan.train(),
-            plan.buckets_iter().map(Ok),
-            frameworks,
-        )
-        .expect("in-memory bucket stream cannot fail")
-    }
-
-    /// Like [`Experiment::run_streamed`], but the evaluation buckets are
-    /// read back from the CSV files that [`SuitePlan::spill_buckets`] wrote
-    /// to `dir` — the disk-backed half of the streaming story: generate (or
-    /// receive) the timeline once, then run any number of experiments
-    /// against it without regenerating a single bucket. Only the offline
-    /// training set is materialized from the plan; at most one bucket is
-    /// resident at a time.
-    ///
-    /// Files are visited in sorted filename order, which is chronological
-    /// for spilled buckets (their labels are zero-padded: `CI00…CI15`,
-    /// `M01…M15`). The report is **identical** to [`Experiment::run_streamed`]
-    /// on the same plan — the bucket CSV codec is lossless, so the walk sees
-    /// bit-identical scans (pinned by the experiment-runner tests).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error reading `dir`, [`std::io::ErrorKind::InvalidInput`]
-    /// when it holds no `.csv` file, and
-    /// [`std::io::ErrorKind::InvalidData`] when a file does not parse as a
-    /// spilled bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a bucket has no trajectories (as [`Experiment::run`]).
-    pub fn run_streamed_from_dir(
-        &self,
-        plan: &SuitePlan,
-        dir: &Path,
-        frameworks: &[&dyn Framework],
-    ) -> std::io::Result<ExperimentReport> {
-        let mut paths: Vec<std::path::PathBuf> =
-            std::fs::read_dir(dir)?.map(|e| e.map(|e| e.path())).collect::<Result<_, _>>()?;
-        paths.retain(|p| p.extension().is_some_and(|x| x == "csv"));
-        paths.sort();
-        if paths.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("no bucket CSV files in {}", dir.display()),
-            ));
-        }
-        let buckets = paths.iter().map(|p| {
-            let text = std::fs::read_to_string(p)?;
-            stone_dataset::io::bucket_from_csv(&text).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{}: {e}", p.display()),
-                )
-            })
-        });
-        self.walk_timeline(plan.name().to_string(), plan.train(), buckets, frameworks)
-    }
-
-    /// The shared streamed walk: train every framework once, then visit the
-    /// buckets chronologically, evaluating before offering adaptation data
-    /// — wherever the buckets come from (plan RNG streams or spilled CSVs).
-    fn walk_timeline(
-        &self,
-        suite: String,
-        train: FingerprintDataset,
-        buckets: impl Iterator<Item = std::io::Result<EvalBucket>>,
-        frameworks: &[&dyn Framework],
-    ) -> std::io::Result<ExperimentReport> {
-        let mut locs: Vec<Box<dyn Localizer>> =
-            frameworks.iter().map(|fw| fw.fit(&train, self.seed)).collect();
-        drop(train);
-        let mut errors: Vec<Vec<f64>> = vec![Vec::new(); frameworks.len()];
-        let mut bucket_labels = Vec::new();
-        for bucket in buckets {
-            let bucket = bucket?;
-            bucket_labels.push(bucket.label.clone());
-            let scans = bucket.raw_scans();
-            for (loc, errs) in locs.iter_mut().zip(&mut errors) {
-                errs.push(Self::evaluate_bucket(loc.as_mut(), &bucket));
-                // Offer this bucket's unlabeled scans for refitting before
-                // the next bucket (LT-KNN's monthly recalibration).
-                loc.adapt(&scans);
-            }
-        }
-        let series = frameworks
-            .iter()
-            .zip(locs)
-            .zip(errors)
-            .map(|((fw, loc), mean_errors_m)| SeriesResult {
-                framework: fw.name().to_string(),
-                mean_errors_m,
-                requires_retraining: loc.requires_retraining(),
-            })
-            .collect();
-        Ok(ExperimentReport { suite, bucket_labels, series })
     }
 
     /// Localizes every scan of one bucket and returns the mean error.

@@ -2,7 +2,7 @@
 //! frameworks.
 
 use stone_baselines::{KnnBuilder, LtKnnBuilder};
-use stone_dataset::{office_plan, office_suite, Framework, SuiteConfig};
+use stone_dataset::{office_suite, Framework, SuiteConfig};
 use stone_eval::Experiment;
 
 #[test]
@@ -37,67 +37,6 @@ fn adaptation_happens_after_evaluation_not_before() {
         a[0],
         b[0]
     );
-}
-
-#[test]
-fn streamed_run_equals_materialized_run() {
-    // The streaming path (one bucket resident at a time) must produce a
-    // report identical to the materialized path — same bucket bytes, same
-    // fit calls, same adaptation order. Includes an adapting framework so
-    // the bucket-by-bucket adapt interleaving is exercised.
-    let cfg = SuiteConfig::tiny(54);
-    let knn = KnnBuilder::default();
-    let lt = LtKnnBuilder::default();
-    let frameworks: Vec<&dyn Framework> = vec![&knn, &lt];
-    let materialized = Experiment::new(54).run(&office_plan(&cfg).build(), &frameworks);
-    let streamed = Experiment::new(54).run_streamed(&office_plan(&cfg), &frameworks);
-    assert_eq!(streamed, materialized);
-    assert_eq!(streamed.to_csv(), materialized.to_csv());
-}
-
-#[test]
-fn disk_backed_run_equals_in_memory_runs() {
-    // The PR 3 follow-up: spill the timeline to CSV once, then evaluate
-    // straight from disk. The report must be *identical* to both in-memory
-    // paths — the bucket codec is lossless and the walk order matches.
-    let cfg = SuiteConfig::tiny(55);
-    let plan = office_plan(&cfg);
-    let dir = std::env::temp_dir().join(format!("stone-eval-spill-{}", std::process::id()));
-    plan.spill_buckets(&dir).expect("spill writes");
-
-    let knn = KnnBuilder::default();
-    let lt = LtKnnBuilder::default();
-    let frameworks: Vec<&dyn Framework> = vec![&knn, &lt];
-    let from_disk = Experiment::new(55)
-        .run_streamed_from_dir(&plan, &dir, &frameworks)
-        .expect("disk-backed run");
-    let streamed = Experiment::new(55).run_streamed(&plan, &frameworks);
-    let materialized = Experiment::new(55).run(&plan.build(), &frameworks);
-    assert_eq!(from_disk, streamed);
-    assert_eq!(from_disk, materialized);
-    assert_eq!(from_disk.to_csv(), materialized.to_csv());
-    std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
-fn disk_backed_run_reports_missing_and_malformed_files() {
-    let cfg = SuiteConfig::tiny(56);
-    let plan = office_plan(&cfg);
-    let knn = KnnBuilder::default();
-    let frameworks: Vec<&dyn Framework> = vec![&knn];
-    let dir = std::env::temp_dir().join(format!("stone-eval-empty-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-
-    // An empty directory is InvalidInput, not a silent empty report.
-    let err = Experiment::new(56).run_streamed_from_dir(&plan, &dir, &frameworks).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-
-    // A malformed CSV is InvalidData and names the offending file.
-    std::fs::write(dir.join("broken.csv"), "not,a,bucket\n").expect("write");
-    let err = Experiment::new(56).run_streamed_from_dir(&plan, &dir, &frameworks).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("broken.csv"), "error must name the file: {err}");
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]

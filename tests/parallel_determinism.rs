@@ -316,11 +316,12 @@ fn streamed_bucket_equals_materialized_twin_at_any_thread_count() {
     let plans: [(&str, SuitePlan); 3] =
         [("uji", uji_plan(&cfg)), ("office", office_plan(&cfg)), ("basement", basement_plan(&cfg))];
     for (name, plan) in plans {
-        // Materialize in parallel; stream serially (and at 8 threads) —
-        // every bucket must be byte-identical either way.
+        // Build in parallel; materialize each bucket on demand, serially
+        // and at 8 threads — every bucket must be byte-identical either way.
         let built = with_threads(8, || plan.build());
         for nt in THREAD_COUNTS {
-            let streamed: Vec<_> = with_threads(nt, || plan.buckets_iter().collect());
+            let streamed: Vec<_> =
+                with_threads(nt, || (0..plan.bucket_count()).map(|i| plan.bucket(i)).collect());
             assert_eq!(streamed, built.buckets, "{name} streamed diverged at {nt} threads");
         }
         assert_eq!(

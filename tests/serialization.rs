@@ -24,24 +24,6 @@ fn dataset_csv_roundtrip_all_suites_is_exact() {
 }
 
 #[test]
-fn spilled_buckets_roundtrip_from_disk() {
-    // The streaming CSV-spill path: write every bucket of a plan to disk,
-    // read them back, and require byte-identity with the in-memory suite.
-    let cfg = SuiteConfig::tiny(8);
-    let plan = stone_dataset::office_plan(&cfg);
-    let dir = std::env::temp_dir().join(format!("stone-spill-{}", std::process::id()));
-    let paths = plan.spill_buckets(&dir).expect("spill writes");
-    let suite = plan.build();
-    assert_eq!(paths.len(), suite.buckets.len());
-    for (path, expect) in paths.iter().zip(&suite.buckets) {
-        let text = std::fs::read_to_string(path).expect("spilled file readable");
-        let bucket = io::bucket_from_csv(&text).expect("spilled bucket parses");
-        assert_eq!(&bucket, expect, "bucket {} diverged through disk", expect.label);
-    }
-    std::fs::remove_dir_all(&dir).expect("cleanup");
-}
-
-#[test]
 fn trained_encoder_weights_roundtrip() {
     let suite = office_suite(&SuiteConfig::tiny(2));
     let localizer = StoneBuilder::from_config(StoneConfig {
