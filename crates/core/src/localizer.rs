@@ -31,6 +31,12 @@ pub enum ConfigError {
         /// The offending value.
         p_upper: f32,
     },
+    /// `trainer.selector_sigma_m` is not a finite, positive number (the
+    /// floorplan-aware selector's spatial scale).
+    BadSelectorSigma {
+        /// The offending value.
+        sigma_m: f64,
+    },
     /// `trainer.epochs` is zero.
     ZeroEpochs,
     /// `trainer.batch_size` is zero.
@@ -58,6 +64,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadPUpper { p_upper } => {
                 write!(f, "trainer.p_upper must be a probability in [0, 1], got {p_upper}")
+            }
+            ConfigError::BadSelectorSigma { sigma_m } => {
+                write!(f, "trainer.selector_sigma_m must be finite and positive, got {sigma_m}")
             }
             ConfigError::ZeroEpochs => write!(f, "trainer.epochs must be at least 1"),
             ConfigError::ZeroBatchSize => write!(f, "trainer.batch_size must be at least 1"),
@@ -129,6 +138,9 @@ impl StoneConfig {
         }
         if !t.p_upper.is_finite() || !(0.0..=1.0).contains(&t.p_upper) {
             return Err(ConfigError::BadPUpper { p_upper: t.p_upper });
+        }
+        if !t.selector_sigma_m.is_finite() || t.selector_sigma_m <= 0.0 {
+            return Err(ConfigError::BadSelectorSigma { sigma_m: t.selector_sigma_m });
         }
         if t.epochs == 0 {
             return Err(ConfigError::ZeroEpochs);
@@ -557,6 +569,34 @@ mod tests {
             (
                 StoneConfig { trainer: TrainerConfig { p_upper: 1.5, ..ok.trainer }, ..ok },
                 "p_upper",
+            ),
+            (
+                StoneConfig {
+                    trainer: TrainerConfig { selector_sigma_m: f64::NAN, ..ok.trainer },
+                    ..ok
+                },
+                "selector_sigma_m",
+            ),
+            (
+                StoneConfig {
+                    trainer: TrainerConfig { selector_sigma_m: 0.0, ..ok.trainer },
+                    ..ok
+                },
+                "selector_sigma_m",
+            ),
+            (
+                StoneConfig {
+                    trainer: TrainerConfig { selector_sigma_m: -1.0, ..ok.trainer },
+                    ..ok
+                },
+                "selector_sigma_m",
+            ),
+            (
+                StoneConfig {
+                    trainer: TrainerConfig { selector_sigma_m: f64::INFINITY, ..ok.trainer },
+                    ..ok
+                },
+                "selector_sigma_m",
             ),
             (StoneConfig { trainer: TrainerConfig { epochs: 0, ..ok.trainer }, ..ok }, "epochs"),
             (

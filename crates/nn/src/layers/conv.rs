@@ -1,10 +1,8 @@
-//! 2-D convolution over NCHW batches: a fused windows-to-tiles product
-//! forward, im2col lowering backward.
+//! 2-D convolution over NCHW batches: fused windows-to-tiles products
+//! forward and backward.
 
 use rand::rngs::StdRng;
-use stone_tensor::{
-    col2im_from, conv2d, im2col_into, matmul_a_bt, matmul_at_b, Conv2dGeometry, Tensor,
-};
+use stone_tensor::{conv2d, conv2d_backward, Conv2dGeometry, Tensor};
 
 use crate::layer::{Cache, Layer, Mode};
 
@@ -15,10 +13,10 @@ use crate::layer::{Cache, Layer, Mode};
 /// `[out_channels, in_channels * kh * kw]` matrix. The forward pass, in
 /// every mode, is one fused [`stone_tensor::conv2d`] product: input windows
 /// are packed straight into the matmul microkernel's panels and each tile
-/// is stored with its bias straight into NCHW. The backward pass lowers
-/// the whole batch into one `[col_rows, batch · out_plane]` column matrix,
-/// so each gradient product is a single matrix product rather than
-/// `batch` per-sample ones.
+/// is stored with its bias straight into NCHW. The backward pass is one
+/// fused [`stone_tensor::conv2d_backward`] call: the weight gradient packs
+/// input windows straight into tiles, and the input gradient is scattered
+/// per sample, with no column matrix.
 ///
 /// # Example
 ///
@@ -73,30 +71,6 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// Lowers the whole NCHW batch into one `[col_rows, batch · out_plane]`
-    /// column matrix (sample `n` occupies columns `n * out_plane ..`), so
-    /// each backward product is a single matrix product big enough to
-    /// clear the tensor crate's parallel threshold instead of `batch` small
-    /// serial ones.
-    fn lower_batch(&self, x: &Tensor, g: &Conv2dGeometry) -> Tensor {
-        let batch = x.shape()[0];
-        let sample_len = self.in_channels * g.in_h * g.in_w;
-        let out_plane = g.col_cols();
-        let mut cols = Tensor::zeros(vec![g.col_rows(), batch * out_plane]);
-        let xd = x.as_slice();
-        let cd = cols.as_mut_slice();
-        for n in 0..batch {
-            im2col_into(
-                &xd[n * sample_len..(n + 1) * sample_len],
-                g,
-                cd,
-                batch * out_plane,
-                n * out_plane,
-            );
-        }
-        cols
-    }
-
     fn geometry(&self, x: &Tensor) -> Conv2dGeometry {
         assert_eq!(x.rank(), 4, "Conv2d expects [batch, C, H, W], got rank {}", x.rank());
         assert_eq!(
@@ -125,7 +99,7 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&self, x: &Tensor, _mode: Mode, _rng: &mut StdRng) -> (Tensor, Cache) {
-        // Every mode keeps the input: backward re-lowers it, and an
+        // Every mode keeps the input: backward re-reads its windows, and an
         // Infer-mode cache must still serve `gradcheck`.
         (self.product(x), Cache::one(x.clone()))
     }
@@ -136,49 +110,8 @@ impl Layer for Conv2d {
 
     fn backward(&self, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
         let x = &cache.tensors[0];
-        let g = self.geometry(x);
-        let batch = x.shape()[0];
-        let sample_len = self.in_channels * g.in_h * g.in_w;
-        let out_plane = g.col_cols();
-        assert_eq!(
-            grad_out.shape(),
-            &[batch, self.out_channels, g.out_h, g.out_w],
-            "Conv2d backward gradient shape mismatch"
-        );
-
-        // Lower the whole batch into one column matrix and gather grad_out
-        // into the matching [OC, batch · out_plane] layout, so each of the
-        // gradient products runs once per layer pass.
-        let cols = self.lower_batch(x, &g);
-        let mut gn_all = Tensor::zeros(vec![self.out_channels, batch * out_plane]);
-        let gd = grad_out.as_slice();
-        {
-            let gnd = gn_all.as_mut_slice();
-            for n in 0..batch {
-                for oc in 0..self.out_channels {
-                    let src = &gd[(n * self.out_channels + oc) * out_plane..][..out_plane];
-                    let dst = &mut gnd[oc * batch * out_plane + n * out_plane..][..out_plane];
-                    dst.copy_from_slice(src);
-                }
-            }
-        }
-
-        // dW = gn · colsᵀ over the whole batch (sample-major inner
-        // dimension: the same per-sample sums as the serial loop, regrouped
-        // into one accumulation).
-        let grad_w = matmul_a_bt(&gn_all, &cols);
-        // db = row sums of gn.
-        let mut grad_b = Tensor::zeros(vec![self.out_channels]);
-        for (oc, gb) in grad_b.as_mut_slice().iter_mut().enumerate() {
-            *gb = gn_all.row(oc).iter().sum::<f32>();
-        }
-        // dcols = Wᵀ · gn, unbatched back onto each sample's input gradient.
-        let dcols = matmul_at_b(&self.weight, &gn_all);
-        let mut grad_x = Tensor::zeros(vec![batch, self.in_channels, g.in_h, g.in_w]);
-        let gx = grad_x.as_mut_slice();
-        for n in 0..batch {
-            col2im_from(&dcols, &g, n * out_plane, &mut gx[n * sample_len..(n + 1) * sample_len]);
-        }
+        let (grad_x, grad_w, grad_b) =
+            conv2d_backward(x, &self.weight, grad_out, &self.geometry(x));
         (grad_x, vec![grad_w, grad_b])
     }
 

@@ -2,10 +2,12 @@
 //!
 //! [`im2col`] lowers one sample of an NCHW batch to a column matrix, which
 //! expresses the convolution as a matrix product (the standard im2col
-//! trick). The convolution layers in `stone-nn` use it for their gradient
-//! products; the forward pass runs [`crate::conv2d`], which computes the
-//! same product bit for bit without building the matrix. [`col2im`] is the
-//! exact adjoint scatter-add used for input gradients.
+//! trick); [`col2im`] is its exact adjoint scatter-add. The convolution
+//! layers in `stone-nn` build no column matrix: [`crate::conv2d`] and
+//! [`crate::conv2d_backward`] pack input windows straight into the matmul
+//! microkernel's operands. `im2col` defines what they compute, and is the
+//! tests' oracle; `conv2d_backward` scatters each sample's input-gradient
+//! columns with `col2im`.
 
 use crate::{Result, Tensor, TensorError};
 
@@ -104,43 +106,17 @@ impl Conv2dGeometry {
 /// elements.
 #[must_use]
 pub fn im2col(sample: &[f32], g: &Conv2dGeometry) -> Tensor {
-    let mut out = Tensor::zeros(vec![g.col_rows(), g.col_cols()]);
-    im2col_into(sample, g, out.as_mut_slice(), g.col_cols(), 0);
-    out
-}
-
-/// Lowers one CHW sample into columns `[col0, col0 + col_cols)` of a wider
-/// `[col_rows, dst_cols]` row-major destination.
-///
-/// This is how a whole NCHW batch is lowered into **one** column matrix
-/// (sample `n` at `col0 = n * col_cols`), so a conv layer issues a single
-/// `[out_channels, batch · col_cols]` product instead of `batch` small
-/// ones — the batched path of `stone_nn::Conv2d`.
-///
-/// # Panics
-///
-/// Panics when `sample` does not match the geometry, `dst` is not
-/// `col_rows * dst_cols` long, or the column window overruns `dst_cols`.
-pub fn im2col_into(
-    sample: &[f32],
-    g: &Conv2dGeometry,
-    dst: &mut [f32],
-    dst_cols: usize,
-    col0: usize,
-) {
     assert_eq!(
         sample.len(),
         g.channels * g.in_h * g.in_w,
         "im2col sample length must match geometry"
     );
-    assert_eq!(dst.len(), g.col_rows() * dst_cols, "im2col destination length mismatch");
-    assert!(col0 + g.col_cols() <= dst_cols, "im2col column window overruns destination");
-    for c in 0..g.channels {
-        let plane = &sample[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
+    let mut out = Tensor::zeros(vec![g.col_rows(), g.col_cols()]);
+    let mut rows = out.as_mut_slice().chunks_exact_mut(g.col_cols());
+    for plane in sample.chunks_exact(g.in_h * g.in_w) {
         for ki in 0..g.kernel_h {
             for kj in 0..g.kernel_w {
-                let row = c * g.kernel_h * g.kernel_w + ki * g.kernel_w + kj;
-                let dstrow = &mut dst[row * dst_cols + col0..row * dst_cols + col0 + g.col_cols()];
+                let dstrow = rows.next().expect("one column-matrix row per kernel tap");
                 for oh in 0..g.out_h {
                     let src_row = oh * g.stride + ki;
                     let src = &plane[src_row * g.in_w..(src_row + 1) * g.in_w];
@@ -151,10 +127,12 @@ pub fn im2col_into(
             }
         }
     }
+    out
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a column-matrix gradient back onto a
-/// CHW gradient buffer.
+/// CHW gradient buffer, row by row (`c`, `ki`, `kj`) and, within a row, in
+/// output-position order.
 ///
 /// # Panics
 ///
@@ -162,29 +140,12 @@ pub fn im2col_into(
 /// `out` does not have exactly `channels * in_h * in_w` elements.
 pub fn col2im(grad_cols: &Tensor, g: &Conv2dGeometry, out: &mut [f32]) {
     assert_eq!(grad_cols.shape(), &[g.col_rows(), g.col_cols()], "col2im gradient shape mismatch");
-    col2im_from(grad_cols, g, 0, out);
-}
-
-/// Adjoint scatter-add reading columns `[col0, col0 + col_cols)` of a wider
-/// `[col_rows, dst_cols]` gradient matrix — the inverse windowing of
-/// [`im2col_into`], used to unbatch one sample's input gradient from a
-/// whole-batch `dcols` product.
-///
-/// # Panics
-///
-/// Panics when `grad_cols` is not rank 2 with `col_rows` rows, the column
-/// window overruns it, or `out` does not have exactly
-/// `channels * in_h * in_w` elements.
-pub fn col2im_from(grad_cols: &Tensor, g: &Conv2dGeometry, col0: usize, out: &mut [f32]) {
-    assert_eq!(grad_cols.rows(), g.col_rows(), "col2im gradient row count mismatch");
-    assert!(col0 + g.col_cols() <= grad_cols.cols(), "col2im column window overruns gradient");
     assert_eq!(out.len(), g.channels * g.in_h * g.in_w, "col2im output length mismatch");
-    for c in 0..g.channels {
-        let plane = &mut out[c * g.in_h * g.in_w..(c + 1) * g.in_h * g.in_w];
+    let mut rows = grad_cols.as_slice().chunks_exact(g.col_cols());
+    for plane in out.chunks_exact_mut(g.in_h * g.in_w) {
         for ki in 0..g.kernel_h {
             for kj in 0..g.kernel_w {
-                let row = c * g.kernel_h * g.kernel_w + ki * g.kernel_w + kj;
-                let src = &grad_cols.row(row)[col0..col0 + g.col_cols()];
+                let src = rows.next().expect("one column-matrix row per kernel tap");
                 for oh in 0..g.out_h {
                     let dst_row = oh * g.stride + ki;
                     for ow in 0..g.out_w {

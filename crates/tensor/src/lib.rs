@@ -12,8 +12,9 @@
 //!   fallback; [`configured_backend`] reports the choice), and row-parallel
 //!   dispatch. No kernel contracts a multiply-add into an FMA, so every
 //!   backend, thread count and batch size gives the same bits;
-//! * a fused convolution product ([`conv2d`]) and the [`im2col`]/[`col2im`]
-//!   lowering used by the convolution layers in `stone-nn`;
+//! * the fused convolution products used by the convolution layers in
+//!   `stone-nn` ([`conv2d`] forward, [`conv2d_backward`] for the
+//!   gradients), and the [`im2col`]/[`col2im`] lowering that defines them;
 //! * seeded random fills (uniform and Box-Muller normal) in [`rng`];
 //! * small dense solvers ([`linalg::solve`], [`linalg::ridge_regression`])
 //!   used by the LT-KNN baseline's AP-imputation step.
@@ -42,12 +43,12 @@ mod reduce;
 pub mod rng;
 mod tensor;
 
-pub use conv::{col2im, col2im_from, im2col, im2col_into, Conv2dGeometry};
+pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use matmul::{
-    configured_backend, conv2d, fma_available, matmul, matmul_a_bt, matmul_a_bt_scalar,
-    matmul_at_b, matmul_at_b_scalar, matmul_scalar, simd_available, with_backend, MatmulBackend,
-    PAR_MIN_MACS,
+    configured_backend, conv2d, conv2d_backward, fma_available, matmul, matmul_a_bt,
+    matmul_a_bt_scalar, matmul_at_b, matmul_at_b_scalar, matmul_scalar, simd_available,
+    with_backend, MatmulBackend, PAR_MIN_MACS,
 };
 pub use reduce::{argmax, mean_all, softmax_rows, sum_all, sum_axis0};
 pub use tensor::Tensor;

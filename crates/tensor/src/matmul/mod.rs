@@ -4,21 +4,23 @@
 //! ever materializing an explicit transpose:
 //!
 //! * [`matmul`]      — `C = A · B`
-//! * [`matmul_at_b`] — `C = Aᵀ · B` (used for input gradients)
-//! * [`matmul_a_bt`] — `C = A · Bᵀ` (used for weight gradients)
+//! * [`matmul_at_b`] — `C = Aᵀ · B` (the dense layer's weight gradient)
+//! * [`matmul_a_bt`] — `C = A · Bᵀ` (the dense layer's input gradient)
 //!
-//! A fourth, [`conv2d`], is the convolution forward product with its
-//! `im2col` lowering fused into the packing step (see [`conv2d`]'s module).
+//! Two more, [`conv2d`] and [`conv2d_backward`], are the convolution's
+//! forward product and its gradients with the `im2col` lowering fused into
+//! the packing step (see their module).
 //!
 //! # Execution model
 //!
 //! All of them run the same register-tiled pipeline:
 //!
 //! 1. **Pack** ([`pack`]): the B operand is repacked once per call into
-//!    [`microkernel::LANES`]-column panels; each worker repacks the A rows
-//!    of its current tile. Packing fuses any transpose the variant needs,
-//!    so the kernel's inner loop sees two contiguous streams regardless of
-//!    the source layout.
+//!    [`microkernel::LANES`]-column panels — across the worker pool when it
+//!    holds at least [`PAR_MIN_MACS`] elements; each worker repacks the A
+//!    rows of its current tile. Packing fuses any transpose the variant
+//!    needs, so the kernel's inner loop sees two contiguous streams
+//!    regardless of the source layout.
 //! 2. **Tile** ([`microkernel`]): an 8-row × 8-lane register tile
 //!    accumulates into a fixed array of lane accumulators across the whole
 //!    inner dimension — broadcast, multiply, add; no strided loads, no
@@ -57,7 +59,7 @@ mod reference;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 
-pub use conv2d::conv2d;
+pub use conv2d::{conv2d, conv2d_backward};
 pub use microkernel::{
     configured_backend, fma_available, simd_available, with_backend, MatmulBackend,
 };
@@ -98,7 +100,9 @@ static MM_A_BT_PROF: OnceLock<KernelProf> = OnceLock::new();
 /// ~5.2 µs saved per extra thread) keeps a ~1.6× margin over dispatch
 /// jitter. The old spawn-era threshold was 2²⁰ — the pool is what lets
 /// serve-time small products parallelize at all. See
-/// `docs/PERFORMANCE.md` ("Knobs") for the measurement.
+/// `docs/PERFORMANCE.md` ("Knobs") for the measurement. The same bound,
+/// applied to a B operand's element count (`k·n`), decides whether its
+/// panels are packed across the pool.
 pub const PAR_MIN_MACS: usize = 1 << 18;
 
 /// Whether a product with `macs` total multiply-accumulates is worth
@@ -210,14 +214,15 @@ fn mm_at_b_narrow(a: &Tensor, b: &Tensor, block: &mut [f32], p0: usize) {
 }
 
 /// Streaming `A · Bᵀ` kernel for narrow outputs, over output rows
-/// `[r0, r0 + rows)`: per-element dot products over increasing `p` — the
-/// canonical order.
+/// `[r0, r0 + rows)`: per-element dot products over increasing `p` from
+/// `+0.0`, like a tile lane — the canonical order. (`Iterator::sum` would
+/// start from `-0.0` and turn an all-`-0.0` sum negative.)
 fn mm_a_bt_narrow(a: &Tensor, b: &Tensor, block: &mut [f32], r0: usize) {
     let n = b.rows();
     for (ri, crow) in block.chunks_exact_mut(n).enumerate() {
         let arow = a.row(r0 + ri);
         for (j, cv) in crow.iter_mut().enumerate() {
-            *cv = arow.iter().zip(b.row(j)).map(|(&x, &y)| x * y).sum();
+            *cv = arow.iter().zip(b.row(j)).fold(0.0, |acc, (&x, &y)| acc + x * y);
         }
     }
 }
@@ -558,6 +563,15 @@ mod tests {
         let full = matmul_a_bt(&a, &bt);
         let narrow = matmul_a_bt(&a3, &bt);
         assert_eq!(&full.as_slice()[..narrow.len()], narrow.as_slice());
+        // All products `-1 · 0 = -0.0`: a tile lane sums them from `+0.0`
+        // to `+0.0`, so the narrow path must too (`==` cannot tell the
+        // signs apart; the bits can).
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let zeros = Tensor::zeros(vec![5, 5]);
+        let full = matmul_a_bt(&Tensor::full(vec![12, 5], -1.0), &zeros);
+        let narrow = matmul_a_bt(&Tensor::full(vec![3, 5], -1.0), &zeros);
+        assert_eq!(bits(&narrow), bits(&full)[..narrow.len()]);
+        assert_eq!(bits(&narrow), vec![0.0f32.to_bits(); 15]);
         // at_b: the narrow axis is the inner dimension; compare a 3-step
         // (narrow) sum against the naive loop to pin the canonical order.
         let at = pseudo(&[3, 9], 63);

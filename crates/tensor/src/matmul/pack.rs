@@ -25,6 +25,10 @@
 //! | `A · B` | `pack_width_major` (tile rows of `A`) | `pack_step_major` (panel columns of `B`) |
 //! | `Aᵀ · B` | `pack_step_major` (tile columns of `A`) | `pack_step_major` (panel columns of `B`) |
 //! | `A · Bᵀ` | `pack_width_major` (tile rows of `A`) | `pack_width_major` (panel rows of `B`) |
+//!
+//! A whole B operand ([`PackedPanels`]) is packed across the worker pool,
+//! one panel per task, once it holds [`super::PAR_MIN_MACS`] elements —
+//! the dense layer's 8192 × 100 weight, for one.
 
 use super::microkernel::LANES;
 
@@ -86,28 +90,38 @@ pub struct PackedPanels {
 }
 
 impl PackedPanels {
+    /// Packs `n` output columns of `steps` steps each: `fill(c0, width,
+    /// panel)` packs columns `c0 .. c0 + width` into one zero-padded panel.
+    ///
+    /// An operand of at least [`super::PAR_MIN_MACS`] elements (`steps ·
+    /// n`) is packed across the worker pool, panel by panel. Each panel is
+    /// filled by one worker from the same source values, so the packing
+    /// is identical at any thread count.
+    #[must_use]
+    pub fn build(steps: usize, n: usize, fill: impl Fn(usize, usize, &mut [f32]) + Sync) -> Self {
+        let mut data = vec![0.0; n.div_ceil(LANES) * steps * LANES];
+        let len = steps * LANES;
+        super::dispatch(&mut data, len, super::worth_threads(steps * n), |jp0, block| {
+            for (i, panel) in block.chunks_exact_mut(len).enumerate() {
+                let c0 = (jp0 + i) * LANES;
+                fill(c0, LANES.min(n - c0), panel);
+            }
+        });
+        Self { data, steps }
+    }
+
     /// Packs a `[steps, n]` row-major operand column-panel by column-panel
     /// (the B side of `A · B` and `Aᵀ · B`).
     #[must_use]
     pub fn from_rows(src: &[f32], steps: usize, n: usize) -> Self {
-        let mut data = vec![0.0; n.div_ceil(LANES) * steps * LANES];
-        for (jp, panel) in data.chunks_exact_mut(steps * LANES).enumerate() {
-            let c0 = jp * LANES;
-            pack_step_major(src, n, c0, LANES.min(n - c0), panel);
-        }
-        Self { data, steps }
+        Self::build(steps, n, |c0, width, panel| pack_step_major(src, n, c0, width, panel))
     }
 
     /// Packs an `[n, steps]` row-major operand whose *rows* are output
     /// columns (the B side of `A · Bᵀ`), transposing as it packs.
     #[must_use]
     pub fn from_transposed_rows(src: &[f32], steps: usize, n: usize) -> Self {
-        let mut data = vec![0.0; n.div_ceil(LANES) * steps * LANES];
-        for (jp, panel) in data.chunks_exact_mut(steps * LANES).enumerate() {
-            let r0 = jp * LANES;
-            pack_width_major(src, steps, r0, LANES.min(n - r0), panel);
-        }
-        Self { data, steps }
+        Self::build(steps, n, |r0, width, panel| pack_width_major(src, steps, r0, width, panel))
     }
 
     /// The packed panel covering output columns `jp * LANES ..`.

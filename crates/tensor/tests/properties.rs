@@ -178,31 +178,4 @@ proptest! {
             }
         }
     }
-
-    /// The batched im2col window writer must place each sample's columns
-    /// exactly where the one-sample lowering puts them, shifted by the
-    /// window offset (the `Conv2d` batching contract).
-    #[test]
-    fn im2col_into_window_matches_single_sample(salt in 0u32..1_000_000) {
-        let g = Conv2dGeometry::new(2, 5, 4, 2, 2, 1).unwrap();
-        let samples: Vec<Tensor> =
-            (0..3).map(|s| salted(1, 2 * 5 * 4, salt.wrapping_add(s))).collect();
-        let wide_cols = 3 * g.col_cols();
-        let mut wide = vec![f32::NAN; g.col_rows() * wide_cols];
-        for (s, sample) in samples.iter().enumerate() {
-            stone_tensor::im2col_into(sample.as_slice(), &g, &mut wide, wide_cols, s * g.col_cols());
-        }
-        for (s, sample) in samples.iter().enumerate() {
-            let single = im2col(sample.as_slice(), &g);
-            for r in 0..g.col_rows() {
-                for c in 0..g.col_cols() {
-                    prop_assert_eq!(
-                        wide[r * wide_cols + s * g.col_cols() + c],
-                        single.at2(r, c),
-                        "sample {} row {} col {}", s, r, c
-                    );
-                }
-            }
-        }
-    }
 }

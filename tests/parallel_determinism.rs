@@ -1,5 +1,6 @@
 //! The parallel subsystem's contract (see `docs/PERFORMANCE.md`): every
-//! parallel path — tiled matmul, batched embedding, parallel KNN sweep,
+//! parallel path — tiled matmul, the encoder's training gradients,
+//! batched embedding, parallel KNN sweep,
 //! suite sharding, the `LocalizationServer` batch executors, and the
 //! concurrent experiment runner — produces **bitwise-identical** results
 //! at thread counts 1, 2 and 8, and the AVX2 matmul microkernel is
@@ -20,7 +21,9 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stone::{EmbeddingKnn, KnnMode, StoneBuilder, StoneConfig, TrainerConfig};
+use stone::{
+    build_encoder, EmbeddingKnn, EncoderConfig, KnnMode, StoneBuilder, StoneConfig, TrainerConfig,
+};
 use stone_baselines::{KnnBuilder, LtKnnBuilder};
 use stone_dataset::{
     basement_plan, office_plan, office_suite, uji_plan, uji_suite, Framework, Localizer,
@@ -329,6 +332,50 @@ fn streamed_bucket_equals_materialized_twin_at_any_thread_count() {
             built.train.records(),
             "{name} survey diverged"
         );
+    }
+}
+
+/// The bits of one seeded training pass of the paper encoder on UJI's
+/// 10 × 10 images: `forward_train` (noise and dropout draws included),
+/// then `backward` of a fixed upstream gradient. The input gradient comes
+/// first, then every parameter gradient in layer order.
+fn encoder_gradient_bits(batch: usize) -> Vec<Vec<u32>> {
+    let mut rng = StdRng::seed_from_u64(29);
+    let net = build_encoder(&EncoderConfig::paper(10, 8), &mut rng);
+    let x = uniform_tensor(&mut rng, vec![batch, 1, 10, 10], 0.0, 1.0);
+    let (y, caches) = net.forward_train(&x, &mut rng);
+    let dy = uniform_tensor(&mut rng, y.shape().to_vec(), -1.0, 1.0);
+    let grads = net.backward(&caches, &dy);
+    std::iter::once(&grads.grad_input)
+        .chain(grads.param_grads.iter().flatten())
+        .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+#[test]
+fn encoder_training_gradients_are_bitwise_identical_across_threads_and_backends() {
+    let _g = lock();
+    // The trainer's per-tower batch, and a ragged one (9 = 8 + 1 rows; an
+    // uneven sample split at 2, 3 and 8 threads).
+    for batch in [32, 9] {
+        let baseline = with_threads(1, || encoder_gradient_bits(batch));
+        assert_eq!(baseline.len(), 1 + 8, "input gradient plus 4 weights and 4 biases");
+        for nt in [2, 3, 8] {
+            let got = with_threads(nt, || encoder_gradient_bits(batch));
+            assert!(got == baseline, "batch {batch}: gradients diverged at {nt} threads");
+        }
+        // The baseline ran on the configured backend. When that is AVX2,
+        // the portable kernel must match it; under STONE_NO_SIMD=1, or on a
+        // CPU without AVX2, there is no second backend (see
+        // `simd_kernels_are_bitwise_identical_to_no_simd_fallback`).
+        if configured_backend() == MatmulBackend::Simd {
+            for nt in [1, 2] {
+                let portable = with_backend(MatmulBackend::Portable, || {
+                    with_threads(nt, || encoder_gradient_bits(batch))
+                });
+                assert!(portable == baseline, "batch {batch}: portable diverged at {nt} threads");
+            }
+        }
     }
 }
 
