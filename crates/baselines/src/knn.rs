@@ -2,7 +2,7 @@
 //! fingerprints.
 
 use stone::ImageCodec;
-use stone_dataset::{FingerprintDataset, Framework, Localizer, RpId};
+use stone_dataset::{FingerprintDataset, Framework, Localizer};
 use stone_radio::Point2;
 
 /// Builder for the plain-KNN baseline.
@@ -45,7 +45,6 @@ impl Framework for KnnBuilder {
 pub struct KnnLocalizer {
     k: usize,
     map: Vec<Vec<f32>>, // normalized [0, 1] fingerprints
-    labels: Vec<RpId>,
     positions: Vec<Point2>,
 }
 
@@ -60,14 +59,12 @@ impl KnnLocalizer {
         assert!(k > 0, "k must be at least 1");
         assert!(!train.is_empty(), "training set must be non-empty");
         let mut map = Vec::with_capacity(train.len());
-        let mut labels = Vec::with_capacity(train.len());
         let mut positions = Vec::with_capacity(train.len());
         for r in train.records() {
             map.push(r.rssi.iter().map(|&v| ImageCodec::normalize(v)).collect());
-            labels.push(r.rp);
             positions.push(train.rp_position(r.rp).expect("record RP registered"));
         }
-        Self { k, map, labels, positions }
+        Self { k, map, positions }
     }
 
     /// Number of stored radio-map entries.
@@ -80,13 +77,6 @@ impl KnnLocalizer {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// RP label of the single nearest radio-map entry (the 1-NN class).
-    #[must_use]
-    pub fn nearest_rp(&self, rssi: &[f32]) -> RpId {
-        let query: Vec<f32> = rssi.iter().map(|&v| ImageCodec::normalize(v)).collect();
-        self.labels[self.k_nearest(&query)[0].0]
     }
 
     fn k_nearest(&self, query: &[f32]) -> Vec<(usize, f32)> {

@@ -9,7 +9,7 @@
 //! what [`Localizer::adapt`] models here.
 
 use stone::ImageCodec;
-use stone_dataset::{FingerprintDataset, Framework, Localizer, RpId, MISSING_RSSI_DBM};
+use stone_dataset::{FingerprintDataset, Framework, Localizer, MISSING_RSSI_DBM};
 use stone_radio::Point2;
 use stone_tensor::{linalg, Tensor};
 
@@ -64,7 +64,6 @@ pub struct LtKnnLocalizer {
     refresh_rate: f32,
     /// Normalized radio map (mutated by [`Localizer::adapt`]).
     map: Vec<Vec<f32>>,
-    labels: Vec<RpId>,
     positions: Vec<Point2>,
     /// Pristine offline map used as regression training data.
     offline_map: Vec<Vec<f32>>,
@@ -88,12 +87,10 @@ impl LtKnnLocalizer {
         assert!(k > 0, "k must be at least 1");
         assert!(!train.is_empty(), "training set must be non-empty");
         let mut map = Vec::with_capacity(train.len());
-        let mut labels = Vec::with_capacity(train.len());
         let mut positions = Vec::with_capacity(train.len());
         for r in train.records() {
             let norm: Vec<f32> = r.rssi.iter().map(|&v| ImageCodec::normalize(v)).collect();
             map.push(norm);
-            labels.push(r.rp);
             positions.push(train.rp_position(r.rp).expect("record RP registered"));
         }
         let trained_visible = train.ap_visibility();
@@ -103,7 +100,6 @@ impl LtKnnLocalizer {
             refresh_rate,
             offline_map: map.clone(),
             map,
-            labels,
             positions,
             trained_visible,
             imputers: Vec::new(),
@@ -134,14 +130,6 @@ impl LtKnnLocalizer {
             }
             query[*ap] = v.clamp(0.0, 1.0);
         }
-    }
-
-    /// RP label of the single nearest (imputed) radio-map entry.
-    #[must_use]
-    pub fn nearest_rp(&self, rssi: &[f32]) -> RpId {
-        let mut query: Vec<f32> = rssi.iter().map(|&v| ImageCodec::normalize(v)).collect();
-        self.impute(&mut query);
-        self.labels[self.k_nearest(&query)[0].0]
     }
 
     fn k_nearest(&self, query: &[f32]) -> Vec<(usize, f32)> {

@@ -59,13 +59,6 @@ impl ApDropoutAugmenter {
             image[idx] = 0.0;
         }
     }
-
-    /// Augments a whole batch of image buffers in place.
-    pub fn augment_batch(&self, images: &mut [Vec<f32>], rng: &mut StdRng) {
-        for img in images {
-            self.augment(img, rng);
-        }
-    }
 }
 
 impl Default for ApDropoutAugmenter {

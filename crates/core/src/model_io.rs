@@ -28,9 +28,10 @@
 //! **bitwise** — pinned by the workspace round-trip tests. A failed load
 //! returns [`ModelIoError`] and never panics: the serving layer feeds this
 //! decoder from disk and from the network, where truncated and corrupted
-//! blobs are a fact of life. Every count field is checked against the bytes
-//! actually remaining before any allocation, so a corrupted header cannot
-//! request a gigantic buffer.
+//! blobs are a fact of life. Every count field is checked before any
+//! allocation — against the bytes actually remaining, and inside the weight
+//! block against the architecture the configuration describes — so a
+//! corrupted or forged header cannot request a gigantic buffer.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -548,6 +549,24 @@ mod tests {
         bad[58..62].copy_from_slice(&u32::MAX.to_le_bytes());
         reseal(&mut bad);
         assert_eq!(load(&bad).unwrap_err(), ModelIoError::Truncated);
+    }
+
+    #[test]
+    fn resealed_weight_rank_is_refused_before_allocating() {
+        // CRC32 is no signature: anyone can recompute it. A weight tensor
+        // rank of u32::MAX inside a resealed blob must be refused from the
+        // architecture, not handed to an allocator. The first tensor's rank
+        // follows the weight block's magic, version and tensor count.
+        let loc = tiny_localizer(11);
+        let mut blob = save(&loc);
+        let rank_at = 58 + 4 + 12 * loc.encoder().history().len() + 4 + 12;
+        assert_eq!(blob[rank_at..rank_at + 4], 2u32.to_le_bytes(), "conv weight is rank 2");
+        blob[rank_at..rank_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut blob);
+        assert!(matches!(
+            load(&blob).unwrap_err(),
+            ModelIoError::Weights(WeightIoError::ArchitectureMismatch { .. })
+        ));
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use rand::seq::SliceRandom;
-use rand::Rng;
 use stone_radio::Point2;
 
 use crate::types::{Fingerprint, ReferencePoint, RpId, MISSING_RSSI_DBM};
@@ -109,29 +107,6 @@ impl FingerprintDataset {
         map
     }
 
-    /// Returns a copy keeping at most `fpr` fingerprints per RP, sampled
-    /// without replacement (the paper's FPR sensitivity axis, Fig. 7).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `fpr` is zero.
-    #[must_use]
-    pub fn subsample_fpr<R: Rng>(&self, fpr: usize, rng: &mut R) -> Self {
-        assert!(fpr > 0, "fpr must be at least 1");
-        let mut by_rp: BTreeMap<RpId, Vec<&Fingerprint>> = BTreeMap::new();
-        for r in &self.records {
-            by_rp.entry(r.rp).or_default().push(r);
-        }
-        let mut out = Self::new(self.name.clone(), self.ap_count, self.rps.clone());
-        for (_, mut fps) in by_rp {
-            fps.shuffle(rng);
-            for fp in fps.into_iter().take(fpr) {
-                out.records.push(fp.clone());
-            }
-        }
-        out
-    }
-
     /// Mean number of visible APs per record (0 when empty).
     #[must_use]
     pub fn mean_visible_aps(&self) -> f64 {
@@ -167,8 +142,6 @@ impl FingerprintDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use stone_radio::SimTime;
 
     fn sample_dataset() -> FingerprintDataset {
@@ -222,18 +195,6 @@ mod tests {
             time: SimTime::start(),
             ci: 0,
         });
-    }
-
-    #[test]
-    fn subsample_caps_per_rp() {
-        let ds = sample_dataset();
-        let mut rng = StdRng::seed_from_u64(0);
-        let sub = ds.subsample_fpr(1, &mut rng);
-        assert_eq!(sub.len(), 2);
-        assert!(sub.records_per_rp().values().all(|&n| n == 1));
-        // Oversized fpr keeps everything.
-        let all = ds.subsample_fpr(100, &mut rng);
-        assert_eq!(all.len(), ds.len());
     }
 
     #[test]

@@ -301,30 +301,6 @@ pub struct SuitePlan {
 }
 
 impl SuitePlan {
-    /// Venue kind.
-    #[must_use]
-    pub fn kind(&self) -> SuiteKind {
-        self.kind
-    }
-
-    /// Human-readable suite name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The simulated radio environment (already carrying its AP schedule).
-    #[must_use]
-    pub fn env(&self) -> &RadioEnvironment {
-        &self.env
-    }
-
-    /// The reference points of the suite's path, in walk order.
-    #[must_use]
-    pub fn rps(&self) -> &[ReferencePoint] {
-        &self.rps
-    }
-
     /// Number of evaluation buckets in the timeline.
     #[must_use]
     pub fn bucket_count(&self) -> usize {
@@ -662,11 +638,7 @@ mod tests {
     #[test]
     fn plan_exposes_suite_shape() {
         let plan = basement_plan(&SuiteConfig::tiny(12));
-        assert_eq!(plan.kind(), SuiteKind::Basement);
-        assert_eq!(plan.name(), "Basement");
         assert_eq!(plan.bucket_count(), 16);
-        assert_eq!(plan.rps().len(), plan.build().train.rps().len());
-        assert_eq!(plan.env().ap_count(), plan.build().train.ap_count());
     }
 
     #[test]

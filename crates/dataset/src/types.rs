@@ -103,12 +103,6 @@ impl Trajectory {
     pub fn start_pos(&self) -> Point2 {
         self.fingerprints.first().expect("trajectory must not be empty").pos
     }
-
-    /// Total ground-truth path length, in meters.
-    #[must_use]
-    pub fn path_length_m(&self) -> f64 {
-        self.fingerprints.windows(2).map(|w| w[0].pos.distance(w[1].pos)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +125,6 @@ mod tests {
         let t = Trajectory::new(vec![fp(vec![], 0.0), fp(vec![], 1.0), fp(vec![], 3.0)]);
         assert_eq!(t.len(), 3);
         assert_eq!(t.start_pos(), Point2::new(0.0, 0.0));
-        assert_eq!(t.path_length_m(), 3.0);
     }
 
     #[test]

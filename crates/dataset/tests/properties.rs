@@ -1,26 +1,10 @@
 //! Property-based tests for dataset invariants.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use stone_dataset::{io, office_suite, SuiteConfig, MISSING_RSSI_DBM};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn subsample_never_exceeds_fpr(seed in 0u64..200, fpr in 1usize..8) {
-        let suite = office_suite(&SuiteConfig::tiny(seed));
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sub = suite.train.subsample_fpr(fpr, &mut rng);
-        for (&_rp, &n) in &sub.records_per_rp() {
-            prop_assert!(n <= fpr);
-        }
-        // Subsampled records are genuine members of the original set.
-        for r in sub.records() {
-            prop_assert!(suite.train.records().contains(r));
-        }
-    }
 
     #[test]
     fn fingerprint_rssi_values_valid(seed in 0u64..50) {

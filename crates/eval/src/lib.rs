@@ -23,4 +23,4 @@ mod metrics;
 
 pub use experiment::{Experiment, ExperimentReport, SeriesResult};
 pub use heatmap::Heatmap;
-pub use metrics::{mean_error_m, median_error_m, percentile_error_m};
+pub use metrics::mean_error_m;

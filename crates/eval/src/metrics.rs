@@ -14,33 +14,6 @@ pub fn mean_error_m(preds: &[Point2], truths: &[Point2]) -> f64 {
     preds.iter().zip(truths).map(|(p, t)| p.distance(*t)).sum::<f64>() / preds.len() as f64
 }
 
-/// Median Euclidean error, in meters.
-///
-/// # Panics
-///
-/// Panics when the slices differ in length or are empty.
-#[must_use]
-pub fn median_error_m(preds: &[Point2], truths: &[Point2]) -> f64 {
-    percentile_error_m(preds, truths, 50.0)
-}
-
-/// Error percentile (nearest-rank), in meters. `pct` in `[0, 100]`.
-///
-/// # Panics
-///
-/// Panics when the slices differ in length or are empty, or `pct` is out of
-/// range.
-#[must_use]
-pub fn percentile_error_m(preds: &[Point2], truths: &[Point2], pct: f64) -> f64 {
-    assert_eq!(preds.len(), truths.len(), "prediction/truth count mismatch");
-    assert!(!preds.is_empty(), "error over empty set is undefined");
-    assert!((0.0..=100.0).contains(&pct), "percentile must be in [0, 100]");
-    let mut errs: Vec<f64> = preds.iter().zip(truths).map(|(p, t)| p.distance(*t)).collect();
-    errs.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
-    let rank = ((pct / 100.0) * (errs.len() as f64 - 1.0)).round() as usize;
-    errs[rank]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,25 +27,6 @@ mod tests {
         let preds = pts(&[0.0, 1.0, 2.0]);
         let truths = pts(&[0.0, 0.0, 0.0]);
         assert_eq!(mean_error_m(&preds, &truths), 1.0);
-    }
-
-    #[test]
-    fn median_is_robust_to_outlier() {
-        let preds = pts(&[0.0, 0.1, 100.0]);
-        let truths = pts(&[0.0, 0.0, 0.0]);
-        assert!(median_error_m(&preds, &truths) < 0.2);
-        assert!(mean_error_m(&preds, &truths) > 30.0);
-    }
-
-    #[test]
-    fn percentiles_are_ordered() {
-        let preds = pts(&[0.0, 1.0, 2.0, 3.0, 10.0]);
-        let truths = pts(&[0.0, 0.0, 0.0, 0.0, 0.0]);
-        let p25 = percentile_error_m(&preds, &truths, 25.0);
-        let p75 = percentile_error_m(&preds, &truths, 75.0);
-        let p100 = percentile_error_m(&preds, &truths, 100.0);
-        assert!(p25 <= p75 && p75 <= p100);
-        assert_eq!(p100, 10.0);
     }
 
     #[test]

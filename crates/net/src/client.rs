@@ -1,7 +1,7 @@
 //! A blocking (optionally pipelining) client for the framed-TCP protocol.
 //!
 //! [`NetClient::locate`] is the one-call path: send a scan, wait for its
-//! answer. The fleet loadgen instead **pipelines**: [`NetClient::send`]
+//! answer. A fleet simulator instead **pipelines**: [`NetClient::send`]
 //! fires requests open-loop and [`NetClient::try_recv`] opportunistically
 //! drains whatever responses have arrived, matching them back to requests
 //! by the echoed id — which is what lets one thread simulate a device that
@@ -179,14 +179,9 @@ impl NetClient {
         })
     }
 
-    /// Replaces the retry policy (e.g. to enable retries after probing the
-    /// server once without them).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
     /// Retries performed over this client's lifetime (across reconnects) —
-    /// the loadgen's retry-amplification numerator.
+    /// the retry-amplification numerator: a server's decoded requests are
+    /// its clients' sends plus their retries.
     #[must_use]
     pub fn total_retries(&self) -> u64 {
         self.total_retries

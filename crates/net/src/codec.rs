@@ -13,8 +13,6 @@
 //! input produces a [`WireError`], never a panic and never an oversized
 //! allocation. The full frame layout table lives in `DESIGN.md`.
 
-use std::time::Duration;
-
 /// The one protocol version: every frame carries it, and the decoders
 /// reject any other version byte with [`WireError::BadVersion`] — a server
 /// answers such a frame with the [`WireStatus::Malformed`] goodbye and
@@ -593,12 +591,6 @@ impl FrameBuffer {
     pub fn pending_bytes(&self) -> usize {
         self.buf.len()
     }
-}
-
-/// Formats a latency for the loadgen / example reports.
-#[must_use]
-pub fn fmt_latency(d: Option<Duration>) -> String {
-    d.map_or_else(|| "-".into(), |d| format!("{d:.1?}"))
 }
 
 #[cfg(test)]

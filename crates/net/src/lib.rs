@@ -20,8 +20,8 @@
 //!   accepted, flush, join every thread.
 //! * [`NetClient`] — a blocking client that can also pipeline: fire
 //!   requests open-loop and drain responses opportunistically, matching
-//!   them by the echoed request id (what `examples/loadgen.rs`'s fleet
-//!   simulator runs on).
+//!   them by the echoed request id (what perfbench's `fleet_16venue`
+//!   workload runs on).
 //!
 //! A misbehaving connection — half-open, truncated mid-frame, dribbling
 //! bytes, sending garbage or another protocol version — affects only

@@ -10,6 +10,8 @@
 //!   model, then serves again;
 //! * no expired or fast-failed request ever occupies a batch slot
 //!   (`batched + expired + fast_failed == completed`);
+//! * every frame the fleet sent, re-sends included, is decoded
+//!   (`sent + retried == requests_decoded`);
 //! * the corrupt publish is rejected and the incumbent keeps serving.
 
 mod common;
@@ -197,10 +199,15 @@ fn chaos_fleet_survives_with_wire_visible_failures() {
     assert!(check.locate("flaky", &scan).is_ok(), "rolled-back venue serves again");
 
     assert!(ok > 0, "the fleet got real answers through the chaos");
+    let retried: u64 = clients.iter().map(NetClient::total_retries).sum();
     drop(check);
     drop(clients);
     let ledger = server.shutdown();
     assert_eq!(ledger.requests_decoded, ledger.responses_written, "no request went unanswered");
+    // Every frame sent, re-sends included, was decoded: the warm-ups, the
+    // fleet, the two post-storm checks, and one frame per retry.
+    let sent = (CLIENTS + CLIENTS * REQUESTS_PER_CLIENT + 2) as u64;
+    assert_eq!(ledger.requests_decoded, sent + retried, "sent + retried == decoded");
 
     // Everything the front-end spawned is joined; only the harness threads
     // that existed before the server remain (plus the pool's workers).

@@ -113,7 +113,12 @@ fn retry_policy_rides_out_a_shed() {
     let resp = filler.recv().expect("filler answered");
     assert_eq!(resp.request_id, filler_id);
     assert!(resp.result.is_ok());
-    server.shutdown();
+    let wire = server.shutdown();
+    // Every frame the clients sent, re-sends included, was decoded: the
+    // filler, the first attempt, then one frame per retry — each retry
+    // answering a shed.
+    assert_eq!(wire.requests_decoded, 2 + client.total_retries(), "sent + retried == decoded");
+    assert_eq!(wire.shed, client.total_retries(), "every retry answered a shed");
 }
 
 /// `DeadlineExceeded` is terminal: the budget is the client saying the

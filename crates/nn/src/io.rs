@@ -102,14 +102,31 @@ pub fn load_weights(net: &mut Sequential, bytes: &[u8]) -> Result<(), WeightIoEr
     }
     let count = r.u32()? as usize;
 
-    // Decode every tensor before touching the network so a failed load
-    // leaves the parameters untouched.
+    // The count, every rank and every dim are checked against the network
+    // before anything is allocated for them, so a stream cannot ask for
+    // more memory than the network's own parameters hold. Every tensor is
+    // decoded before the network is touched, so a failed load leaves the
+    // parameters untouched.
+    let shapes: Vec<Vec<usize>> = net.params().iter().map(|p| p.shape().to_vec()).collect();
+    if count != shapes.len() {
+        return Err(WeightIoError::ArchitectureMismatch {
+            detail: format!("stored {count} tensors, network has {}", shapes.len()),
+        });
+    }
     let mut tensors = Vec::with_capacity(count);
-    for _ in 0..count {
+    for (i, want) in shapes.into_iter().enumerate() {
         let rank = r.u32()? as usize;
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(r.u32()? as usize);
+        if rank != want.len() {
+            return Err(WeightIoError::ArchitectureMismatch {
+                detail: format!("tensor {i}: stored rank {rank}, network {want:?}"),
+            });
+        }
+        let shape =
+            (0..rank).map(|_| r.u32().map(|d| d as usize)).collect::<Result<Vec<_>, _>>()?;
+        if shape != want {
+            return Err(WeightIoError::ArchitectureMismatch {
+                detail: format!("tensor {i}: stored {shape:?}, network {want:?}"),
+            });
         }
         let n: usize = shape.iter().product();
         let mut data = Vec::with_capacity(n);
@@ -119,21 +136,8 @@ pub fn load_weights(net: &mut Sequential, bytes: &[u8]) -> Result<(), WeightIoEr
         tensors.push(Tensor::from_vec(shape, data).expect("shape/data consistent by construction"));
     }
 
-    let mut params = net.params_mut();
-    if params.len() != count {
-        return Err(WeightIoError::ArchitectureMismatch {
-            detail: format!("stored {count} tensors, network has {}", params.len()),
-        });
-    }
-    for (i, (p, t)) in params.iter_mut().zip(&tensors).enumerate() {
-        if p.shape() != t.shape() {
-            return Err(WeightIoError::ArchitectureMismatch {
-                detail: format!("tensor {i}: stored {:?}, network {:?}", t.shape(), p.shape()),
-            });
-        }
-    }
-    for (p, t) in params.iter_mut().zip(tensors) {
-        **p = t;
+    for (p, t) in net.params_mut().into_iter().zip(tensors) {
+        *p = t;
     }
     Ok(())
 }
@@ -202,5 +206,33 @@ mod tests {
         let before = dst.predict(&x);
         let _ = load_weights(&mut dst, &bytes[..bytes.len() - 1]);
         assert_eq!(dst.predict(&x), before);
+    }
+
+    /// A stream header naming a huge rank or dims must be refused before
+    /// anything is allocated for it.
+    #[test]
+    fn rejects_hostile_counts_before_allocating() {
+        let header = |fields: &[u32]| {
+            let mut b = MAGIC.to_vec();
+            for f in [VERSION].iter().chain(fields) {
+                b.extend_from_slice(&f.to_le_bytes());
+            }
+            b
+        };
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut net = Sequential::new(vec![Box::new(Dense::new(3, 4, &mut rng))]);
+        let before = net.predict(&Tensor::ones(vec![1, 3]));
+        for stream in
+            [header(&[2, u32::MAX]), header(&[2, 2, u32::MAX, u32::MAX]), header(&[u32::MAX])]
+        {
+            assert!(
+                matches!(
+                    load_weights(&mut net, &stream),
+                    Err(WeightIoError::ArchitectureMismatch { .. })
+                ),
+                "{stream:?}"
+            );
+        }
+        assert_eq!(net.predict(&Tensor::ones(vec![1, 3])), before);
     }
 }

@@ -1,12 +1,12 @@
-//! Normalization layers: row-wise L2 normalization and softmax.
+//! Row-wise L2 normalization, the encoder's output layer.
 
 use rand::rngs::StdRng;
-use stone_tensor::{softmax_rows, Tensor};
+use stone_tensor::Tensor;
 
 use crate::layer::{Cache, Layer, Mode};
 
 /// Row-wise L2 normalization: each row of a `[batch, d]` input is projected
-/// onto the unit hypersphere, `y = x / max(||x||, eps)`.
+/// onto the unit hypersphere, `y = x / max(||x||, 1e-8)`.
 ///
 /// This is the final layer of the STONE encoder: the paper constrains
 /// embeddings to `||f(x)||₂ = 1` (Sec. III), which together with the margin
@@ -14,28 +14,19 @@ use crate::layer::{Cache, Layer, Mode};
 ///
 /// The backward pass uses the exact Jacobian of the normalization:
 /// `∂L/∂x = (g - y (g·y)) / ||x||` per row.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct L2Normalize {
-    eps: f32,
+    _priv: (),
 }
+
+/// The norm floor that keeps an all-zero row finite.
+const EPS: f32 = 1e-8;
 
 impl L2Normalize {
-    /// Creates an L2 normalization layer with the default epsilon (`1e-8`).
+    /// Creates an L2 normalization layer.
     #[must_use]
     pub fn new() -> Self {
-        Self { eps: 1e-8 }
-    }
-
-    /// Creates an L2 normalization layer with a custom epsilon guard.
-    #[must_use]
-    pub fn with_eps(eps: f32) -> Self {
-        Self { eps }
-    }
-}
-
-impl Default for L2Normalize {
-    fn default() -> Self {
-        Self::new()
+        Self { _priv: () }
     }
 }
 
@@ -46,7 +37,7 @@ impl Layer for L2Normalize {
         let mut norms = Tensor::zeros(vec![m]);
         for i in 0..m {
             let row = x.row(i);
-            let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt().max(self.eps);
+            let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt().max(EPS);
             norms.as_mut_slice()[i] = norm;
             for (o, &v) in y.row_mut(i).iter_mut().zip(row) {
                 *o = v / norm;
@@ -74,51 +65,6 @@ impl Layer for L2Normalize {
 
     fn name(&self) -> &'static str {
         "l2_normalize"
-    }
-}
-
-/// Row-wise softmax layer.
-///
-/// Training classifiers should prefer [`crate::CrossEntropyLoss`], which
-/// fuses softmax with the loss for numerical stability; this layer exists for
-/// producing calibrated probabilities at inference time (used by the SCNN
-/// baseline when exporting confidence scores).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Softmax {
-    _priv: (),
-}
-
-impl Softmax {
-    /// Creates a softmax layer.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { _priv: () }
-    }
-}
-
-impl Layer for Softmax {
-    fn forward(&self, x: &Tensor, _mode: Mode, _rng: &mut StdRng) -> (Tensor, Cache) {
-        let y = softmax_rows(x);
-        (y.clone(), Cache::one(y))
-    }
-
-    fn backward(&self, cache: &Cache, grad_out: &Tensor) -> (Tensor, Vec<Tensor>) {
-        let y = &cache.tensors[0];
-        let (m, d) = (y.rows(), y.cols());
-        let mut gx = Tensor::zeros(vec![m, d]);
-        for i in 0..m {
-            let yr = y.row(i);
-            let gr = grad_out.row(i);
-            let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-            for ((o, &g), &yv) in gx.row_mut(i).iter_mut().zip(gr).zip(yr) {
-                *o = yv * (g - dot);
-            }
-        }
-        (gx, Vec::new())
-    }
-
-    fn name(&self) -> &'static str {
-        "softmax"
     }
 }
 
@@ -161,25 +107,5 @@ mod tests {
         let (gx, _) = l.backward(&cache, &g);
         let dot: f32 = gx.row(0).iter().zip(y.row(0)).map(|(&a, &b)| a * b).sum();
         assert!(dot.abs() < 1e-6, "radial component leaked: {dot}");
-    }
-
-    #[test]
-    fn softmax_layer_matches_free_function() {
-        let x = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 0., 0., 0.]).unwrap();
-        let (y, _) = Softmax::new().forward(&x, Mode::Infer, &mut rng());
-        assert_eq!(y, softmax_rows(&x));
-    }
-
-    #[test]
-    fn softmax_backward_rows_sum_to_zero() {
-        // Softmax outputs live on the simplex, so input gradients must have
-        // zero row-sum.
-        let x = Tensor::from_vec(vec![1, 4], vec![0.5, -1., 2., 0.1]).unwrap();
-        let s = Softmax::new();
-        let (_, cache) = s.forward(&x, Mode::Train, &mut rng());
-        let g = Tensor::from_vec(vec![1, 4], vec![1., 0., -2., 0.5]).unwrap();
-        let (gx, _) = s.backward(&cache, &g);
-        let sum: f32 = gx.row(0).iter().sum();
-        assert!(sum.abs() < 1e-5, "row sum {sum}");
     }
 }

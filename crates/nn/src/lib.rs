@@ -6,12 +6,11 @@
 //! training, so this crate implements the required subset from scratch on top
 //! of [`stone_tensor`]:
 //!
-//! * layers: [`Dense`], [`Conv2d`], [`Relu`], [`LeakyRelu`], [`Sigmoid`],
-//!   [`Tanh`], [`Dropout`], [`GaussianNoise`], [`Flatten`], [`L2Normalize`],
-//!   [`Softmax`], composed with [`Sequential`];
+//! * layers: [`Dense`], [`Conv2d`], [`Relu`], [`Dropout`], [`GaussianNoise`],
+//!   [`Flatten`], [`L2Normalize`], composed with [`Sequential`];
 //! * losses: [`TripletLoss`] (FaceNet-style, the heart of STONE),
-//!   [`ContrastiveLoss`], [`CrossEntropyLoss`], [`MseLoss`];
-//! * optimizers: [`Sgd`] and [`Adam`];
+//!   [`ContrastiveLoss`], [`CrossEntropyLoss`];
+//! * the [`Adam`] optimizer behind the [`Optimizer`] trait;
 //! * weight (de)serialization and central-difference [`gradcheck`] utilities.
 //!
 //! Every layer's `forward` returns an opaque [`Cache`]; `backward` consumes
@@ -26,20 +25,20 @@
 //! ```
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
-//! use stone_nn::{Adam, Dense, Mode, MseLoss, Optimizer, Relu, Sequential};
+//! use stone_nn::{Adam, CrossEntropyLoss, Dense, Optimizer, Relu, Sequential};
 //! use stone_tensor::Tensor;
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut net = Sequential::new(vec![
 //!     Box::new(Dense::new(2, 8, &mut rng)),
 //!     Box::new(Relu::new()),
-//!     Box::new(Dense::new(8, 1, &mut rng)),
+//!     Box::new(Dense::new(8, 2, &mut rng)),
 //! ]);
 //! let x = Tensor::from_vec(vec![4, 2], vec![0., 0., 0., 1., 1., 0., 1., 1.])?;
-//! let y = Tensor::from_vec(vec![4, 1], vec![0., 1., 1., 0.])?;
+//! let labels = [0, 1, 1, 0];
 //!
-//! let (out, caches) = net.forward_train(&x, &mut rng);
-//! let (loss, grad) = MseLoss.loss(&out, &y);
+//! let (logits, caches) = net.forward_train(&x, &mut rng);
+//! let (loss, grad) = CrossEntropyLoss::new().loss(&logits, &labels);
 //! let grads = net.backward(&caches, &grad).param_grads;
 //! Adam::with_lr(1e-2).step(&mut net.params_mut(), &grads.concat());
 //! assert!(loss.is_finite());
@@ -61,12 +60,7 @@ mod sequential;
 pub use init::{he_normal, xavier_uniform};
 pub use io::{load_weights, save_weights, WeightIoError};
 pub use layer::{Cache, Layer, Mode};
-pub use layers::{
-    Conv2d, Dense, Dropout, Flatten, GaussianNoise, L2Normalize, LeakyRelu, Relu, Sigmoid, Softmax,
-    Tanh,
-};
-pub use loss::{
-    ContrastiveLoss, CrossEntropyLoss, MseLoss, TripletGrads, TripletLoss, TripletStats,
-};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use layers::{Conv2d, Dense, Dropout, Flatten, GaussianNoise, L2Normalize, Relu};
+pub use loss::{ContrastiveLoss, CrossEntropyLoss, TripletGrads, TripletLoss, TripletStats};
+pub use optim::{Adam, Optimizer};
 pub use sequential::{BackwardResult, Sequential};

@@ -237,26 +237,6 @@ impl CrossEntropyLoss {
     }
 }
 
-/// Mean-squared-error loss.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MseLoss;
-
-impl MseLoss {
-    /// Computes `mean((pred - target)²)` and its gradient w.r.t. `pred`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes differ.
-    pub fn loss(&self, pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-        assert_eq!(pred.shape(), target.shape(), "MSE shape mismatch");
-        let n = pred.len() as f32;
-        let diff = pred - target;
-        let loss = diff.as_slice().iter().map(|&d| d * d).sum::<f32>() / n;
-        let grad = diff.scaled(2.0 / n);
-        (loss, grad)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,14 +346,5 @@ mod tests {
         assert_eq!(acc, 1.0);
         let acc = CrossEntropyLoss::new().accuracy(&logits, &[1, 1]);
         assert_eq!(acc, 0.5);
-    }
-
-    #[test]
-    fn mse_basics() {
-        let p = Tensor::from_slice(&[1., 2.]);
-        let t = Tensor::from_slice(&[0., 0.]);
-        let (loss, grad) = MseLoss.loss(&p, &t);
-        assert!((loss - 2.5).abs() < 1e-6);
-        assert_eq!(grad.as_slice(), &[1., 2.]);
     }
 }

@@ -31,76 +31,6 @@ fn check_shapes(params: &[&mut Tensor], grads: &[Tensor]) {
     }
 }
 
-/// Stochastic gradient descent with optional momentum and weight decay.
-///
-/// # Example
-///
-/// ```
-/// use stone_nn::{Optimizer, Sgd};
-/// use stone_tensor::Tensor;
-///
-/// let mut w = Tensor::from_slice(&[1.0]);
-/// let g = Tensor::from_slice(&[0.5]);
-/// Sgd::new(0.1, 0.0, 0.0).step(&mut [&mut w], std::slice::from_ref(&g));
-/// assert!((w.as_slice()[0] - 0.95).abs() < 1e-6);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lr <= 0`, `momentum` is outside `[0, 1)`, or
-    /// `weight_decay` is negative.
-    #[must_use]
-    pub fn new(lr: f32, momentum: f32, weight_decay: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        assert!(weight_decay >= 0.0, "weight decay must be non-negative");
-        Self { lr, momentum, weight_decay, velocity: Vec::new() }
-    }
-
-    /// Plain SGD with the given learning rate.
-    #[must_use]
-    pub fn with_lr(lr: f32) -> Self {
-        Self::new(lr, 0.0, 0.0)
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]) {
-        check_shapes(params, grads);
-        if self.velocity.is_empty() {
-            self.velocity = grads.iter().map(|g| Tensor::zeros(g.shape().to_vec())).collect();
-        }
-        assert_eq!(self.velocity.len(), params.len(), "optimizer state size changed");
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            for ((pv, &gv), vv) in
-                p.as_mut_slice().iter_mut().zip(g.as_slice()).zip(v.as_mut_slice())
-            {
-                let grad = gv + self.weight_decay * *pv;
-                *vv = self.momentum * *vv + grad;
-                *pv -= self.lr * *vv;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Adam optimizer (Kingma & Ba) with decoupled-style weight decay applied to
 /// the gradient.
 #[derive(Debug, Clone)]
@@ -191,34 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::with_lr(0.1);
-        let w = quadratic_descend(&mut opt, 100);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::new(0.05, 0.9, 0.0);
-        let w = quadratic_descend(&mut opt, 200);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::with_lr(0.3);
         let w = quadratic_descend(&mut opt, 300);
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        // With zero gradient, decay alone must shrink the weight.
-        let mut opt = Sgd::new(0.1, 0.0, 0.5);
-        let mut w = Tensor::from_slice(&[1.0]);
-        let g = Tensor::from_slice(&[0.0]);
-        opt.step(&mut [&mut w], std::slice::from_ref(&g));
-        assert!((w.as_slice()[0] - 0.95).abs() < 1e-6);
     }
 
     #[test]
@@ -232,7 +138,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "count mismatch")]
     fn step_rejects_mismatched_lists() {
-        let mut opt = Sgd::with_lr(0.1);
+        let mut opt = Adam::with_lr(0.1);
         let mut w = Tensor::from_slice(&[1.0]);
         opt.step(&mut [&mut w], &[]);
     }

@@ -152,15 +152,6 @@ impl Sequential {
     pub fn param_count(&self) -> usize {
         self.params().iter().map(|p| p.len()).sum()
     }
-
-    /// Zero-filled gradient accumulators matching [`Sequential::params`].
-    #[must_use]
-    pub fn zero_grads(&self) -> Vec<Vec<Tensor>> {
-        self.layers
-            .iter()
-            .map(|l| l.params().iter().map(|p| Tensor::zeros(p.shape().to_vec())).collect())
-            .collect()
-    }
 }
 
 impl std::fmt::Debug for Sequential {
@@ -237,17 +228,6 @@ mod tests {
     fn param_count_counts_scalars() {
         let net = tiny_net();
         assert_eq!(net.param_count(), 3 * 4 + 4 + 4 * 2 + 2);
-    }
-
-    #[test]
-    fn zero_grads_match_param_shapes() {
-        let net = tiny_net();
-        let z = net.zero_grads();
-        let flat: Vec<&Tensor> = z.iter().flatten().collect();
-        for (zg, p) in flat.iter().zip(net.params()) {
-            assert_eq!(zg.shape(), p.shape());
-            assert!(zg.as_slice().iter().all(|&v| v == 0.0));
-        }
     }
 
     #[test]

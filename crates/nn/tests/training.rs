@@ -4,8 +4,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stone_nn::{
-    Adam, Conv2d, CrossEntropyLoss, Dense, Flatten, L2Normalize, Mode, MseLoss, Optimizer, Relu,
-    Sequential, Sgd, TripletLoss,
+    Adam, Conv2d, CrossEntropyLoss, Dense, Flatten, L2Normalize, Mode, Optimizer, Relu, Sequential,
+    TripletLoss,
 };
 use stone_tensor::Tensor;
 
@@ -30,20 +30,18 @@ fn mlp_learns_xor() {
     let mut net = Sequential::new(vec![
         Box::new(Dense::new(2, 16, &mut rng)),
         Box::new(Relu::new()),
-        Box::new(Dense::new(16, 1, &mut rng)),
+        Box::new(Dense::new(16, 2, &mut rng)),
     ]);
     let x = Tensor::from_vec(vec![4, 2], vec![0., 0., 0., 1., 1., 0., 1., 1.]).unwrap();
-    let y = Tensor::from_vec(vec![4, 1], vec![0., 1., 1., 0.]).unwrap();
+    let labels = [0, 1, 1, 0];
+    let ce = CrossEntropyLoss::new();
     let mut opt = Adam::with_lr(0.05);
     let mut last = f32::INFINITY;
     for _ in 0..400 {
-        last = train_step(&mut net, &mut opt, &x, |out| MseLoss.loss(out, &y), &mut rng);
+        last = train_step(&mut net, &mut opt, &x, |out| ce.loss(out, &labels), &mut rng);
     }
     assert!(last < 0.01, "XOR loss did not converge: {last}");
-    let pred = net.predict(&x);
-    for (p, t) in pred.as_slice().iter().zip(y.as_slice()) {
-        assert!((p - t).abs() < 0.2, "prediction {p} vs target {t}");
-    }
+    assert_eq!(ce.accuracy(&net.predict(&x), &labels), 1.0);
 }
 
 #[test]
@@ -111,7 +109,7 @@ fn triplet_training_separates_two_clusters() {
     };
 
     let loss_fn = TripletLoss::new(0.3);
-    let mut opt = Sgd::new(0.05, 0.9, 0.0);
+    let mut opt = Adam::with_lr(0.01);
     for _ in 0..250 {
         let batch = 8;
         let mut a = Vec::new();

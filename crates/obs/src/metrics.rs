@@ -13,8 +13,8 @@
 //! ```
 //!
 //! [`parse_exposition`] is the strict inverse used by the round-trip
-//! tests and the remote loadgen smoke: every non-comment line must parse
-//! back into a `(name, labels, value)` sample.
+//! tests, including the admin document fetched over TCP: every
+//! non-comment line must parse back into a `(name, labels, value)` sample.
 //!
 //! Histograms use the workspace's power-of-two microsecond buckets
 //! (bucket *i* counts observations in `[2^i, 2^(i+1))` µs) rendered as

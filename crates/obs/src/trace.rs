@@ -16,21 +16,27 @@
 //! Tracing is **off by default**. Disabled, [`SpanTimer::start`] is one
 //! relaxed atomic load and no clock read; enabling it
 //! ([`set_tracing`]) allocates the ring once and arms the timers. The
-//! ring is a seqlock over plain atomics — writers claim slots with one
-//! `fetch_add` and never block, readers retry slots that change under
-//! them. A reader racing a writer that laps the ring during the read
-//! window can observe a stale-but-consistent record; it can never
-//! observe UB (there is no `unsafe` anywhere in this crate).
+//! ring is a seqlock over plain atomics. A writer claims an index with
+//! one `fetch_add`, then takes that index's slot with one compare-and-swap
+//! from a complete (even) sequence word older than its claim to its own
+//! odd word. If another writer still holds the slot mid-record, or a newer
+//! claim already filled it, the writer drops its record instead — it
+//! still closes its ledger side — so writers never block and never mix
+//! their field stores in one slot. Readers retry a slot whose sequence
+//! word changes under them and skip one that is mid-write, so a snapshot
+//! holds whole records only, never a torn one. A slot whose writer was
+//! lapped may show an older record than the newest claim of its index.
+//! There is no `unsafe` anywhere in this crate.
 //!
 //! # Ledger
 //!
 //! Every armed timer increments `spans_opened` at start and
 //! `spans_closed` when it records. A request that vanishes mid-pipeline
 //! (a dropped reply, a leaked timer) leaves the ledger unbalanced —
-//! [`span_ledger`] is the invariant CI asserts after a loadgen run:
-//! spans opened == spans closed.
+//! [`span_ledger`] is the invariant the serve and wire suites assert after
+//! draining: spans opened == spans closed.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -177,7 +183,7 @@ pub fn mint_trace_id() -> u64 {
 
 /// Spans opened vs. closed since process start: `(opened, closed)`.
 /// Balanced (`opened == closed`) whenever no request is mid-pipeline —
-/// the ledger invariant the loadgen smoke asserts after draining.
+/// the ledger invariant the serve and wire suites assert after draining.
 pub fn span_ledger() -> (u64, u64) {
     // Closed is read first: a timer finishing between the two loads can
     // only make `opened >= closed` — never a phantom negative balance.
@@ -219,14 +225,24 @@ fn write_record(trace_id: u64, stage: Stage, start_us: u64, dur_us: u64) {
     let claim = HEAD.fetch_add(1, Ordering::Relaxed);
     let slot = &ring[(claim as usize) & (SPAN_RING_CAPACITY - 1)];
     // Seqlock write: odd while in progress, even (= 2·(claim+1)) once
-    // complete. Field stores are Relaxed; the Release on the final seq
-    // store publishes them.
-    slot.seq.store(2 * claim + 1, Ordering::Relaxed);
-    slot.trace_id.store(trace_id, Ordering::Relaxed);
-    slot.stage.store(stage as u8 as u64, Ordering::Relaxed);
-    slot.start_us.store(start_us, Ordering::Relaxed);
-    slot.dur_us.store(dur_us, Ordering::Relaxed);
-    slot.seq.store(2 * (claim + 1), Ordering::Release);
+    // complete. The slot is taken only from an even word of an older
+    // claim, so no two writers ever hold it at once. The Release fence
+    // orders the odd word before the field stores (a reader that sees a
+    // new field sees the odd word on its re-check); the Release on the
+    // final seq store publishes the fields.
+    let held = 2 * claim + 1;
+    let cur = slot.seq.load(Ordering::Relaxed);
+    let taken = cur.is_multiple_of(2)
+        && cur < held
+        && slot.seq.compare_exchange(cur, held, Ordering::Relaxed, Ordering::Relaxed).is_ok();
+    if taken {
+        fence(Ordering::Release);
+        slot.trace_id.store(trace_id, Ordering::Relaxed);
+        slot.stage.store(stage as u8 as u64, Ordering::Relaxed);
+        slot.start_us.store(start_us, Ordering::Relaxed);
+        slot.dur_us.store(dur_us, Ordering::Relaxed);
+        slot.seq.store(held + 1, Ordering::Release);
+    }
     CLOSED.fetch_add(1, Ordering::Release);
 }
 
@@ -251,7 +267,10 @@ pub fn span_snapshot() -> Vec<SpanRecord> {
             let stage = slot.stage.load(Ordering::Relaxed);
             let start_us = slot.start_us.load(Ordering::Relaxed);
             let dur_us = slot.dur_us.load(Ordering::Relaxed);
-            let after = slot.seq.load(Ordering::Acquire);
+            // Pairs with the writer's Release fence: a field load that saw
+            // a newer writer's store makes this re-read see its odd word.
+            fence(Ordering::Acquire);
+            let after = slot.seq.load(Ordering::Relaxed);
             if before != after {
                 continue;
             }
@@ -288,19 +307,6 @@ impl SpanTimer {
         }
         OPENED.fetch_add(1, Ordering::Relaxed);
         SpanTimer { armed: true, stage, start_us: now_us() }
-    }
-
-    /// Begin timing a stage whose wall-clock start happened earlier (a
-    /// request enqueued before the executor saw it). Same ledger
-    /// semantics as [`SpanTimer::start`].
-    pub fn start_at(stage: Stage, start: Instant) -> SpanTimer {
-        if !tracing_enabled() {
-            return SpanTimer { armed: false, stage, start_us: 0 };
-        }
-        OPENED.fetch_add(1, Ordering::Relaxed);
-        let start_us =
-            start.checked_duration_since(epoch()).map(|d| d.as_micros() as u64).unwrap_or(0);
-        SpanTimer { armed: true, stage, start_us }
     }
 
     /// Finish the span and record it against `trace_id`. Inert timers
@@ -394,22 +400,25 @@ mod tests {
     }
 
     #[test]
-    fn start_at_backdates_the_span() {
+    fn writer_skips_a_slot_held_mid_write() {
         let _guard = serial();
         set_tracing(true);
-        let id = mint_trace_id();
-        // Pin the process epoch and put it ≥ 5ms in the past: a start
-        // instant before the epoch clamps to it (start_us 0), which would
-        // make this test's duration read as time-since-epoch instead of
-        // 5ms when it happens to run as the binary's first trace activity.
-        let _ = now_us();
-        std::thread::sleep(std::time::Duration::from_millis(6));
-        let earlier = Instant::now() - std::time::Duration::from_millis(5);
-        let t = SpanTimer::start_at(Stage::QueueWait, earlier);
-        t.finish(id);
-        let span =
-            span_snapshot().into_iter().rev().find(|s| s.trace_id == id).expect("span recorded");
-        assert!(span.dur_us >= 5_000, "backdated span is >= 5ms long");
+        let slot = &ring()[(HEAD.load(Ordering::Relaxed) as usize) & (SPAN_RING_CAPACITY - 1)];
+        let fields = |s: &Slot| {
+            [&s.trace_id, &s.stage, &s.start_us, &s.dur_us].map(|f| f.load(Ordering::Relaxed))
+        };
+        // An earlier writer of the next claim's slot is still mid-record.
+        let complete = slot.seq.load(Ordering::Relaxed);
+        let held = complete | 1;
+        slot.seq.store(held, Ordering::Relaxed);
+        let before = fields(slot);
+        let (o0, c0) = span_ledger();
+        record_span(mint_trace_id(), Stage::Infer, 7, 3);
+        let (o1, c1) = span_ledger();
+        assert_eq!(slot.seq.load(Ordering::Relaxed), held, "the holder keeps its odd word");
+        assert_eq!(fields(slot), before, "the skipped record wrote no field");
+        assert_eq!((o1 - o0, c1 - c0), (1, 1), "a skipped record still closes its span");
+        slot.seq.store(complete, Ordering::Relaxed);
         set_tracing(false);
     }
 }

@@ -3,13 +3,12 @@
 //! Dependency-free data parallelism for the STONE reproduction.
 //!
 //! The workspace builds offline (crates.io is unreachable, see the `shims/`
-//! vendoring policy), so instead of `rayon` this crate provides the three
+//! vendoring policy), so instead of `rayon` this crate provides the two
 //! fork-join primitives the hot paths actually need:
 //!
 //! * [`par_chunks`] — partition a mutable buffer into contiguous blocks and
 //!   fill each block on its own worker (the matmul work-split);
-//! * [`par_map`] — map a function over a slice, preserving input order;
-//! * [`par_join`] — run two closures concurrently.
+//! * [`par_map`] — map a function over a slice, preserving input order.
 //!
 //! Since PR 6 the primitives dispatch to a lazily-initialized, **long-lived
 //! worker pool** (`pool.rs`: channel-fed per-worker queues, join-barrier
@@ -202,37 +201,6 @@ pub fn inline_scope<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Runs two closures concurrently and returns both results.
-///
-/// Serial (in caller order `a` then `b`) when only one thread is available.
-///
-/// # Panics
-///
-/// Propagates a panic from either closure.
-///
-/// # Example
-///
-/// ```
-/// let (a, b) = stone_par::par_join(|| 6 * 7, || "answer");
-/// assert_eq!((a, b), (42, "answer"));
-/// ```
-pub fn par_join<A, B>(a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B + Send) -> (A, B)
-where
-    A: Send,
-    B: Send,
-{
-    if max_threads() <= 1 {
-        return (a(), b());
-    }
-    let mut ra: Option<A> = None;
-    let mut rb: Option<B> = None;
-    // The calling thread is `a`'s worker (arm 0 runs on the caller); `b`
-    // goes to a pool worker. Both arms run under the worker marking, so
-    // nested parallel calls in either run inline while the other is live.
-    pool::run_region(vec![Box::new(|| ra = Some(a())), Box::new(|| rb = Some(b()))]);
-    (ra.expect("arm a completed"), rb.expect("arm b completed"))
-}
-
 /// Maps `f` over `items` on up to [`max_threads`] threads, preserving input
 /// order.
 ///
@@ -388,24 +356,6 @@ mod tests {
             let expect: Vec<u32> = (0..10).flat_map(|r| [r + 1; 3]).collect();
             assert_eq!(buf, expect, "thread count {nt}");
         }
-    }
-
-    #[test]
-    fn par_join_returns_both() {
-        let _g = lock();
-        for nt in [1, 2] {
-            let (a, b) = with_threads(nt, || par_join(|| 1 + 1, || "two".len()));
-            assert_eq!((a, b), (2, 3));
-        }
-    }
-
-    #[test]
-    fn par_join_gives_both_arms_a_worker_budget() {
-        let _g = lock();
-        // The caller-side arm must also see budget 1 while the other arm is
-        // live, or nested calls could oversubscribe.
-        let (a, b) = with_threads(4, || par_join(max_threads, max_threads));
-        assert_eq!((a, b), (1, 1));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Stress test for the shared worker pool (PR 6): many OS threads hammer
-//! `par_map`/nested `par_join` through the *one* process-wide pool for
-//! thousands of regions across varying `with_threads` budgets, asserting
-//! every result stays bitwise-identical to an independent serial oracle
-//! and that teardown ([`stone_par::shutdown_pool`]) neither deadlocks nor
-//! drops queued work — including when it races active dispatchers
-//! mid-test. Teardown at process exit is covered by every other test
-//! binary in the workspace, which simply returns with live workers.
+//! `par_map` with nested two-arm `par_map`s through the *one* process-wide
+//! pool for thousands of regions across varying `with_threads` budgets,
+//! asserting every result stays bitwise-identical to an independent serial
+//! oracle and that teardown ([`stone_par::shutdown_pool`]) neither
+//! deadlocks nor drops queued work — including when it races active
+//! dispatchers mid-test. Teardown at process exit is covered by every
+//! other test binary in the workspace, which simply returns with live
+//! workers.
 //!
 //! `with_threads` installs a process-wide override, so the tests here
 //! serialize through `STRESS_LOCK`, and the hammer threads themselves
@@ -15,7 +16,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use stone_par::{par_join, par_map, pool_threads, shutdown_pool, with_threads};
+use stone_par::{par_map, pool_threads, shutdown_pool, with_threads};
 
 static STRESS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -24,15 +25,15 @@ fn lock() -> MutexGuard<'static, ()> {
 }
 
 /// One parallel region: a `par_map` whose every element runs a *nested*
-/// `par_join` (which must run inline inside pool workers — budget 1).
+/// two-arm `par_map` (which must run inline inside pool workers — budget 1).
 fn region(seed: u64) -> Vec<u64> {
     let items: Vec<u64> = (0..61).map(|i| i ^ seed).collect();
     par_map(&items, |i, &x| {
-        let (a, b) = par_join(
-            || x.wrapping_mul(2654435761).wrapping_add(i as u64),
-            || x.rotate_left((i % 63) as u32),
-        );
-        a ^ b
+        let arms = par_map(&[0, 1], |arm, _| match arm {
+            0 => x.wrapping_mul(2654435761).wrapping_add(i as u64),
+            _ => x.rotate_left((i % 63) as u32),
+        });
+        arms[0] ^ arms[1]
     })
 }
 
@@ -50,9 +51,13 @@ fn region_oracle(seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// A top-level fork whose both arms are themselves parallel regions.
+/// A top-level two-arm fork whose both arms are themselves parallel
+/// regions.
 fn forked_regions(seed: u64) -> (Vec<u64>, Vec<u64>) {
-    par_join(|| region(seed), || region(seed.wrapping_add(0x9e3779b9)))
+    let mut arms = par_map(&[seed, seed.wrapping_add(0x9e3779b9)], |_, &s| region(s));
+    let right = arms.pop().expect("two arms");
+    let left = arms.pop().expect("two arms");
+    (left, right)
 }
 
 /// Blocks until every pool worker has exited, or panics — a worker stuck

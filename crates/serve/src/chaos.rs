@@ -14,17 +14,10 @@
 //! a real model bug would: after the batch's registry snapshot is taken,
 //! before `locate_batch` runs.
 //!
-//! Rules come from two places:
-//!
-//! * programmatically, via [`crate::LocalizationServer::start_with_chaos`]
-//!   — what the test suites use (no env-var races between parallel tests);
-//! * the `STONE_CHAOS` environment variable, read by
-//!   [`crate::LocalizationServer::start`] — what the chaos fleet smoke in
-//!   CI and the examples use. The format is comma-separated rules:
-//!   `panic:<venue>[@<version>][:<count>]` or
-//!   `stall:<venue>[@<version>]:<millis>[:<count>]`, e.g.
-//!   `STONE_CHAOS=panic:office@2,stall:cafe:5:10` panics every batch served
-//!   by "office" model v2 and stalls the first 10 "cafe" batches 5 ms each.
+//! Rules are built programmatically ([`ChaosConfig::with_panic`],
+//! [`ChaosConfig::with_stall`]) and handed to
+//! [`crate::LocalizationServer::start_with_chaos`], so parallel tests never
+//! race on process-wide state.
 //!
 //! Injected panics unwind via [`std::panic::resume_unwind`], so they do not
 //! spam the default panic hook's backtrace while still exercising the full
@@ -35,7 +28,7 @@ use std::time::Duration;
 
 /// One fault to inject.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChaosFault {
+pub(crate) enum ChaosFault {
     /// Panic the batch (caught by the scheduler's isolation; the batch
     /// fails with [`crate::ServeError::Internal`]).
     Panic,
@@ -46,19 +39,19 @@ pub enum ChaosFault {
 /// One injection rule: which venue, which model version, what fault, how
 /// many times.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosRule {
+pub(crate) struct ChaosRule {
     /// The venue whose batches this rule hits.
-    pub venue: String,
+    venue: String,
     /// Only fire when the batch executes against this model version
     /// (`None` = any version). Version gating is what makes
     /// breaker-rollback scenarios deterministic: a rule pinned to the bad
     /// version stops firing the moment the rollback restores the previous
     /// one.
-    pub version: Option<u64>,
+    version: Option<u64>,
     /// The fault to inject.
-    pub fault: ChaosFault,
+    fault: ChaosFault,
     /// How many batches to hit (`None` = every matching batch).
-    pub count: Option<u32>,
+    count: Option<u32>,
 }
 
 /// A set of fault-injection rules, normally empty.
@@ -104,99 +97,6 @@ impl ChaosConfig {
             count,
         });
         self
-    }
-
-    /// True when no rule is configured.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Parses a `STONE_CHAOS` specification (see the module docs for the
-    /// grammar).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed rule.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut cfg = Self::default();
-        for rule in spec.split(',').map(str::trim).filter(|r| !r.is_empty()) {
-            let parts: Vec<&str> = rule.split(':').collect();
-            let (kind, target) = match parts.as_slice() {
-                [kind, target, ..] => (*kind, *target),
-                _ => return Err(format!("chaos rule {rule:?}: expected <kind>:<venue>...")),
-            };
-            let (venue, version) = match target.split_once('@') {
-                Some((v, ver)) => {
-                    let ver = ver
-                        .parse::<u64>()
-                        .map_err(|_| format!("chaos rule {rule:?}: bad version {ver:?}"))?;
-                    (v, Some(ver))
-                }
-                None => (target, None),
-            };
-            if venue.is_empty() {
-                return Err(format!("chaos rule {rule:?}: empty venue"));
-            }
-            let parse_count = |s: &str| {
-                s.parse::<u32>().map_err(|_| format!("chaos rule {rule:?}: bad count {s:?}"))
-            };
-            match kind {
-                "panic" => {
-                    let count = match parts.as_slice() {
-                        [_, _] => None,
-                        [_, _, c] => Some(parse_count(c)?),
-                        _ => return Err(format!("chaos rule {rule:?}: too many fields")),
-                    };
-                    cfg.rules.push(ChaosRule {
-                        venue: venue.to_string(),
-                        version,
-                        fault: ChaosFault::Panic,
-                        count,
-                    });
-                }
-                "stall" => {
-                    let (millis, count) = match parts.as_slice() {
-                        [_, _, m] => (*m, None),
-                        [_, _, m, c] => (*m, Some(parse_count(c)?)),
-                        _ => {
-                            return Err(format!(
-                                "chaos rule {rule:?}: expected stall:<venue>:<millis>[:<count>]"
-                            ))
-                        }
-                    };
-                    let millis = millis
-                        .parse::<u64>()
-                        .map_err(|_| format!("chaos rule {rule:?}: bad stall millis {millis:?}"))?;
-                    cfg.rules.push(ChaosRule {
-                        venue: venue.to_string(),
-                        version,
-                        fault: ChaosFault::Stall(Duration::from_millis(millis)),
-                        count,
-                    });
-                }
-                other => return Err(format!("chaos rule {rule:?}: unknown kind {other:?}")),
-            }
-        }
-        Ok(cfg)
-    }
-
-    /// The configuration named by the `STONE_CHAOS` environment variable
-    /// (empty when unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed specification — chaos is a deliberate dev/CI
-    /// knob, and a silently ignored typo would fake a passing chaos run.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("STONE_CHAOS") {
-            Ok(spec) => match Self::parse(&spec) {
-                Ok(cfg) => cfg,
-                Err(e) => panic!("invalid STONE_CHAOS: {e}"),
-            },
-            Err(_) => Self::default(),
-        }
     }
 }
 
@@ -295,27 +195,6 @@ pub fn corrupt_blob(blob: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_panic_and_stall_rules() {
-        let cfg = ChaosConfig::parse("panic:office@2,stall:cafe:5:10,panic:lab:3").unwrap();
-        assert_eq!(
-            cfg,
-            ChaosConfig::none()
-                .with_panic("office", Some(2), None)
-                .with_stall("cafe", None, Duration::from_millis(5), Some(10))
-                .with_panic("lab", None, Some(3))
-        );
-        assert!(ChaosConfig::parse("").unwrap().is_empty());
-        assert!(ChaosConfig::parse("  ").unwrap().is_empty());
-    }
-
-    #[test]
-    fn rejects_malformed_specs() {
-        for bad in ["panic", "panic:", "explode:v", "panic:v@x", "stall:v", "stall:v:abc"] {
-            assert!(ChaosConfig::parse(bad).is_err(), "{bad:?} should be rejected");
-        }
-    }
 
     #[test]
     fn version_gate_and_budget_limit_fires() {

@@ -67,7 +67,7 @@
 //! retained **last-good** snapshot ([`ModelRegistry::rollback`]); model
 //! blobs are checksummed so a corrupt publish is rejected before it can
 //! serve. Deterministic fault injection for all of this lives behind
-//! [`ChaosConfig`] / the `STONE_CHAOS` env var.
+//! [`ChaosConfig`] ([`LocalizationServer::start_with_chaos`]).
 //!
 //! # Determinism
 //!
@@ -115,7 +115,7 @@ mod server;
 mod stats;
 
 pub use breaker::BreakerState;
-pub use chaos::{corrupt_blob, ChaosConfig, ChaosFault, ChaosRule};
+pub use chaos::{corrupt_blob, ChaosConfig};
 pub use registry::{ModelEntry, ModelRegistry};
 pub use server::{
     LocalizationServer, LocateResponse, PendingLocate, ServeError, ServerConfig, ServerHandle,

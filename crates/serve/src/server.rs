@@ -245,17 +245,14 @@ pub struct LocalizationServer {
 impl LocalizationServer {
     /// Starts the executor threads and returns the running server.
     ///
-    /// Fault injection follows the `STONE_CHAOS` environment variable (see
-    /// [`ChaosConfig`]); unset means none.
-    ///
     /// # Panics
     ///
     /// Panics when the configuration is degenerate (zero `max_batch`,
-    /// `queue_capacity`, `venue_capacity` or `workers`), `STONE_CHAOS` is
-    /// set but malformed, or a thread cannot be spawned.
+    /// `queue_capacity`, `venue_capacity` or `workers`) or a thread cannot
+    /// be spawned.
     #[must_use]
     pub fn start(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Self {
-        Self::start_inner(registry, cfg, false, ChaosConfig::from_env())
+        Self::start_inner(registry, cfg, false, ChaosConfig::none())
     }
 
     /// Like [`LocalizationServer::start`], but the executors begin *parked*:
@@ -270,13 +267,11 @@ impl LocalizationServer {
     /// Same conditions as [`LocalizationServer::start`].
     #[must_use]
     pub fn start_paused(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Self {
-        Self::start_inner(registry, cfg, true, ChaosConfig::from_env())
+        Self::start_inner(registry, cfg, true, ChaosConfig::none())
     }
 
-    /// Like [`LocalizationServer::start`], with an explicit fault-injection
-    /// configuration instead of the `STONE_CHAOS` environment variable —
-    /// what the resilience test suites use, so parallel tests never race on
-    /// the process environment.
+    /// Like [`LocalizationServer::start`], with a fault-injection
+    /// configuration — what the resilience test suites use.
     ///
     /// # Panics
     ///
@@ -288,21 +283,6 @@ impl LocalizationServer {
         chaos: ChaosConfig,
     ) -> Self {
         Self::start_inner(registry, cfg, false, chaos)
-    }
-
-    /// [`LocalizationServer::start_paused`] with an explicit fault-injection
-    /// configuration (see [`LocalizationServer::start_with_chaos`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`LocalizationServer::start`].
-    #[must_use]
-    pub fn start_paused_with_chaos(
-        registry: Arc<ModelRegistry>,
-        cfg: ServerConfig,
-        chaos: ChaosConfig,
-    ) -> Self {
-        Self::start_inner(registry, cfg, true, chaos)
     }
 
     /// Unparks the executors of a [`LocalizationServer::start_paused`]

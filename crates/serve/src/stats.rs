@@ -23,8 +23,8 @@
 //!
 //! Snapshots also render as Prometheus-style exposition text
 //! ([`StatsSnapshot::exposition`]) using the shared `stone-obs` format
-//! helpers, so the wire admin endpoint, the loadgen and any scrape
-//! tooling all read one canonical shape.
+//! helpers, so the wire admin endpoint and any scrape tooling read one
+//! canonical shape.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -415,8 +415,8 @@ impl StatsSnapshot {
     /// Aggregate series carry no labels; per-venue series carry
     /// `venue="..."` and the shed breakdown adds `cause="global"|"venue"`.
     /// The output round-trips through [`stone_obs::parse_exposition`] —
-    /// pinned by a unit test here and re-checked over the wire by the
-    /// loadgen admin smoke.
+    /// pinned by a unit test here and re-checked over the wire by
+    /// `stone-net`'s `admin_telemetry` suite.
     #[must_use]
     pub fn exposition(&self) -> String {
         type VenueVal = fn(&VenueStatsSnapshot) -> u64;

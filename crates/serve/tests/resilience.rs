@@ -369,15 +369,3 @@ fn registry_rollback_restores_last_good_and_keeps_versions_monotonic() {
     assert_eq!(registry.publish_bytes("office", &blob).unwrap(), 3);
     assert_eq!(registry.last_good_version("office"), Some(1));
 }
-
-/// `STONE_CHAOS` parse errors are loud, and the documented grammar parses.
-#[test]
-fn chaos_spec_grammar_roundtrips() {
-    assert!(ChaosConfig::parse("panic:office").is_ok());
-    assert!(ChaosConfig::parse("panic:office@2:1,stall:lobby:50").is_ok());
-    assert!(ChaosConfig::parse("stall:lobby@3:50:2").is_ok());
-    assert!(ChaosConfig::parse("panic:").is_err());
-    assert!(ChaosConfig::parse("freeze:office").is_err());
-    assert!(ChaosConfig::parse("stall:office").is_err(), "stall needs a duration");
-    assert!(ChaosConfig::none().is_empty());
-}

@@ -50,7 +50,7 @@ pub use matmul::{
     matmul_a_bt_scalar, matmul_at_b, matmul_at_b_scalar, matmul_scalar, simd_available,
     with_backend, MatmulBackend, PAR_MIN_MACS,
 };
-pub use reduce::{argmax, mean_all, softmax_rows, sum_all, sum_axis0};
+pub use reduce::{argmax, softmax_rows, sum_axis0};
 pub use tensor::Tensor;
 
 /// Convenient result alias for fallible tensor operations.

@@ -2,29 +2,6 @@
 
 use crate::Tensor;
 
-/// Sum of all elements.
-///
-/// # Example
-///
-/// ```
-/// use stone_tensor::{sum_all, Tensor};
-/// assert_eq!(sum_all(&Tensor::from_slice(&[1.0, 2.0, 3.0])), 6.0);
-/// ```
-#[must_use]
-pub fn sum_all(t: &Tensor) -> f32 {
-    t.as_slice().iter().sum()
-}
-
-/// Mean of all elements; `0.0` for an empty tensor.
-#[must_use]
-pub fn mean_all(t: &Tensor) -> f32 {
-    if t.is_empty() {
-        0.0
-    } else {
-        sum_all(t) / t.len() as f32
-    }
-}
-
 /// Sums a rank-2 tensor over its rows, producing one value per column.
 ///
 /// This is the reduction used for bias gradients over a batch.
@@ -90,14 +67,6 @@ pub fn softmax_rows(t: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sums_and_means() {
-        let t = Tensor::from_slice(&[1., 2., 3., 4.]);
-        assert_eq!(sum_all(&t), 10.0);
-        assert_eq!(mean_all(&t), 2.5);
-        assert_eq!(mean_all(&Tensor::from_slice(&[])), 0.0);
-    }
 
     #[test]
     fn sum_axis0_per_column() {

@@ -266,19 +266,6 @@ impl Tensor {
         Ok(Self { shape: self.shape.clone(), data })
     }
 
-    /// Multiplies every element by `s` in place.
-    pub fn scale_in_place(&mut self, s: f32) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
-
-    /// Returns the tensor scaled by `s`.
-    #[must_use]
-    pub fn scaled(&self, s: f32) -> Self {
-        self.map(|x| x * s)
-    }
-
     /// Adds `other * alpha` into `self` (axpy).
     ///
     /// # Panics
@@ -305,12 +292,6 @@ impl Tensor {
     pub fn dot(&self, other: &Self) -> f32 {
         assert_eq!(self.len(), other.len(), "dot requires equal lengths");
         self.data.iter().zip(&other.data).map(|(&a, &b)| a * b).sum()
-    }
-
-    /// Euclidean (L2) norm of the tensor viewed as a flat vector.
-    #[must_use]
-    pub fn norm_l2(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
     }
 
     /// Squared Euclidean distance to `other` viewed as flat vectors.
@@ -512,9 +493,8 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_norms() {
+    fn dot_and_distance() {
         let a = Tensor::from_slice(&[3., 4.]);
-        assert_eq!(a.norm_l2(), 5.0);
         let b = Tensor::from_slice(&[1., 0.]);
         assert_eq!(a.dot(&b), 3.0);
         assert_eq!(a.sq_distance(&b), 4.0 + 16.0);

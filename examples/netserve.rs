@@ -3,21 +3,24 @@
 //! the `stone-net` wire protocol until you press Enter (or stdin closes),
 //! then drains gracefully and prints the final ledgers.
 //!
-//! Pair it with the fleet half of the load generator in another terminal:
-//!
-//! ```text
-//! cargo run --release --example netserve
-//! LOADGEN_ADDR=127.0.0.1:7600 cargo run --release --example loadgen
-//! ```
+//! Query it from another process with `stone_repro::net::NetClient`
+//! (`locate` for a scan, `fetch_stats`/`fetch_trace` for the telemetry;
+//! the README's "Over the wire" and "Watching a fleet" sections have
+//! snippets). For load numbers, run perfbench's `fleet_16venue` workload.
 //!
 //! Knobs (environment): `NETSERVE_ADDR` (default `127.0.0.1:7600`),
 //! `NETSERVE_VENUES` (default 1), `STONE_THREADS` for the kernel budget.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use stone_repro::dataset::office_suite;
-use stone_repro::net::{codec::fmt_latency, NetServer};
+use stone_repro::net::NetServer;
 use stone_repro::prelude::*;
+
+fn fmt_latency(d: Option<Duration>) -> String {
+    d.map_or_else(|| "-".into(), |d| format!("{d:.1?}"))
+}
 
 fn main() {
     let addr = std::env::var("NETSERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7600".into());
