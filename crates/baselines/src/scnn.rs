@@ -13,9 +13,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use stone::ImageCodec;
 use stone_dataset::{FingerprintDataset, Framework, Localizer, RpId};
-use stone_nn::{
-    Adam, Conv2d, CrossEntropyLoss, Dense, Dropout, Flatten, Optimizer, Relu, Sequential,
-};
+use stone_nn::{Adam, Conv2d, CrossEntropyLoss, Dense, Dropout, Flatten, Relu, Sequential};
 use stone_radio::Point2;
 use stone_tensor::{argmax, Tensor};
 

@@ -16,7 +16,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use stone::{EmbeddingKnn, ImageCodec, KnnMode};
 use stone_dataset::{FingerprintDataset, Framework, Localizer, RpId};
-use stone_nn::{Adam, ContrastiveLoss, Dense, L2Normalize, Optimizer, Relu, Sequential};
+use stone_nn::{Adam, ContrastiveLoss, Dense, L2Normalize, Relu, Sequential};
 use stone_radio::Point2;
 use stone_tensor::Tensor;
 

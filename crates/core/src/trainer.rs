@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stone_dataset::FingerprintDataset;
-use stone_nn::{Adam, Optimizer, Sequential, TripletLoss};
+use stone_nn::{Adam, Sequential, TripletLoss};
 use stone_tensor::Tensor;
 
 use crate::augment::ApDropoutAugmenter;

@@ -161,11 +161,7 @@ impl From<&stone_serve::ServeError> for WireStatus {
     fn from(e: &stone_serve::ServeError) -> Self {
         use stone_serve::ServeError;
         match e {
-            // Both shed causes — shared global capacity and a venue's own
-            // sub-queue cap — are the same wire-visible contract: the
-            // request was refused under load, retry with backoff. The split
-            // stays observable server-side in the per-venue serve stats.
-            ServeError::QueueFull | ServeError::VenueQueueFull { .. } => WireStatus::Shed,
+            ServeError::QueueFull => WireStatus::Shed,
             ServeError::UnknownVenue { .. } => WireStatus::UnknownVenue,
             ServeError::ScanDimensionMismatch { .. } => WireStatus::DimensionMismatch,
             ServeError::EmptyModel { .. } => WireStatus::EmptyModel,

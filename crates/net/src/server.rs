@@ -204,7 +204,7 @@ impl NetServer {
         self.addr
     }
 
-    /// Unparks the inner server's executors (see
+    /// Unparks the inner server's executor (see
     /// [`LocalizationServer::resume`]). A no-op unless it was started
     /// paused.
     pub fn resume(&self) {

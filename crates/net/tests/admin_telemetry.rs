@@ -9,7 +9,7 @@ mod common;
 
 use std::time::Duration;
 
-use stone_net::NetClient;
+use stone_net::{ClientError, NetClient, WireStatus};
 use stone_obs::{mint_trace_id, parse_exposition, set_tracing, Sample};
 use stone_serve::ServerConfig;
 
@@ -53,6 +53,13 @@ fn admin_queries_answer_over_tcp_with_carried_trace_ids() {
         SCANS as u64 + 1,
         "one minted id per scan: the server carried the wire ids instead of re-minting"
     );
+    // A venue name from the wire becomes a label value of every later
+    // stats document, so a newline in it must be escaped, not emitted.
+    let hostile = "a\nb";
+    assert!(matches!(
+        client.locate(hostile, &scan),
+        Err(ClientError::Status(WireStatus::UnknownVenue))
+    ));
     // The WriteBack span is recorded *after* the reply is sent, so give
     // the executor a beat to finish the last request's bookkeeping before
     // snapshotting ledgers over the wire.
@@ -77,6 +84,9 @@ fn admin_queries_answer_over_tcp_with_carried_trace_ids() {
     let closed = find(&samples, "stone_trace_spans_closed_total", &[]).expect("ledger closed");
     assert_eq!(opened.value, closed.value, "span ledger balances over the wire");
     assert!(opened.value >= (SCANS * 5) as f64, "five spans per answered scan");
+    let hostile_enqueued = find(&samples, "stone_serve_enqueued_total", &[("venue", hostile)])
+        .expect("the newline venue's label parses back exactly");
+    assert_eq!(hostile_enqueued.value, 1.0);
 
     // Trace: the span ring as text, holding complete traces for the
     // bracketed ids — five stages each.

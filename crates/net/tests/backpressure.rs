@@ -24,13 +24,7 @@ fn overflow_is_shed_on_the_wire_and_ledgers_agree() {
     // request executes, so the shed set is deterministic.
     let inner = LocalizationServer::start_paused(
         registry,
-        ServerConfig {
-            max_batch: 16,
-            max_wait: Duration::ZERO,
-            queue_capacity: CAPACITY,
-            workers: 1,
-            ..ServerConfig::default()
-        },
+        ServerConfig { max_batch: 16, queue_capacity: CAPACITY, ..ServerConfig::default() },
     );
     let mut server = NetServer::start_with(inner, "127.0.0.1:0").expect("bind ephemeral port");
 

@@ -78,11 +78,9 @@ fn chaos_fleet_survives_with_wire_visible_failures() {
         Arc::clone(&registry),
         ServerConfig {
             max_batch: 16,
-            max_wait: Duration::ZERO,
             queue_capacity: 64,
             breaker_threshold: 2,
             breaker_cooldown: Duration::from_millis(30),
-            ..ServerConfig::default()
         },
         chaos,
     );

@@ -62,7 +62,7 @@ fn faulty_connections_only_hurt_themselves() {
     let mut server = NetServer::start(
         registry,
         "127.0.0.1:0",
-        ServerConfig { queue_capacity: 64, workers: 1, ..ServerConfig::default() },
+        ServerConfig { queue_capacity: 64, ..ServerConfig::default() },
     )
     .expect("bind ephemeral port");
     let addr = server.local_addr();

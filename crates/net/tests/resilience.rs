@@ -17,7 +17,7 @@ use stone_serve::{LocalizationServer, ServerConfig};
 const TIMEOUT: Duration = Duration::from_secs(20);
 
 fn quick_config() -> ServerConfig {
-    ServerConfig { max_batch: 16, max_wait: Duration::ZERO, ..ServerConfig::default() }
+    ServerConfig { max_batch: 16, ..ServerConfig::default() }
 }
 
 /// A request's deadline budget is honored end to end: queued past its

@@ -58,9 +58,7 @@ fn drain_cycle(registry: &std::sync::Arc<stone_serve::ModelRegistry>, scan: &[f3
         registry,
         ServerConfig {
             max_batch: IN_FLIGHT,
-            max_wait: Duration::ZERO,
             queue_capacity: 2 * IN_FLIGHT,
-            workers: 1,
             ..ServerConfig::default()
         },
     );

@@ -10,7 +10,7 @@
 //!   [`Flatten`], [`L2Normalize`], composed with [`Sequential`];
 //! * losses: [`TripletLoss`] (FaceNet-style, the heart of STONE),
 //!   [`ContrastiveLoss`], [`CrossEntropyLoss`];
-//! * the [`Adam`] optimizer behind the [`Optimizer`] trait;
+//! * the [`Adam`] optimizer;
 //! * weight (de)serialization and central-difference [`gradcheck`] utilities.
 //!
 //! Every layer's `forward` returns an opaque [`Cache`]; `backward` consumes
@@ -25,7 +25,7 @@
 //! ```
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
-//! use stone_nn::{Adam, CrossEntropyLoss, Dense, Optimizer, Relu, Sequential};
+//! use stone_nn::{Adam, CrossEntropyLoss, Dense, Relu, Sequential};
 //! use stone_tensor::Tensor;
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
@@ -62,5 +62,5 @@ pub use io::{load_weights, save_weights, WeightIoError};
 pub use layer::{Cache, Layer, Mode};
 pub use layers::{Conv2d, Dense, Dropout, Flatten, GaussianNoise, L2Normalize, Relu};
 pub use loss::{ContrastiveLoss, CrossEntropyLoss, TripletGrads, TripletLoss, TripletStats};
-pub use optim::{Adam, Optimizer};
+pub use optim::Adam;
 pub use sequential::{BackwardResult, Sequential};

@@ -1,28 +1,15 @@
-//! First-order optimizers.
+//! The Adam optimizer.
 
 use stone_tensor::Tensor;
 
-/// A first-order optimizer updating parameters in place from gradients.
-///
-/// The flattened parameter and gradient lists must keep a stable order
-/// across steps (as produced by [`crate::Sequential::params_mut`] and
-/// a flattened [`crate::BackwardResult::param_grads`]); per-parameter state
-/// is keyed by position.
-pub trait Optimizer {
-    /// Applies one update step.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic when `params` and `grads` disagree in length or
-    /// shapes, or when the parameter list changes shape between steps.
-    fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]);
-
-    /// The current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (used by decay schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
+/// Exponential decay of the first-moment estimate.
+const BETA1: f32 = 0.9;
+/// Exponential decay of the second-moment estimate.
+const BETA2: f32 = 0.999;
+/// Denominator guard of the update.
+const EPS: f32 = 1e-8;
+/// L2 penalty added to each gradient.
+const WEIGHT_DECAY: f32 = 0.0;
 
 fn check_shapes(params: &[&mut Tensor], grads: &[Tensor]) {
     assert_eq!(params.len(), grads.len(), "optimizer param/grad count mismatch");
@@ -31,45 +18,40 @@ fn check_shapes(params: &[&mut Tensor], grads: &[Tensor]) {
     }
 }
 
-/// Adam optimizer (Kingma & Ba) with decoupled-style weight decay applied to
-/// the gradient.
+/// Adam optimizer (Kingma & Ba) with betas (0.9, 0.999), updating
+/// parameters in place from gradients.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
     t: u64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
 }
 
 impl Adam {
-    /// Creates an Adam optimizer with explicit hyperparameters.
+    /// Adam with the given learning rate.
     ///
     /// # Panics
     ///
-    /// Panics on non-positive `lr`/`eps` or betas outside `[0, 1)`.
-    #[must_use]
-    pub fn new(lr: f32, beta1: f32, beta2: f32, eps: f32, weight_decay: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1), "beta1 must be in [0, 1)");
-        assert!((0.0..1.0).contains(&beta2), "beta2 must be in [0, 1)");
-        assert!(eps > 0.0, "eps must be positive");
-        assert!(weight_decay >= 0.0, "weight decay must be non-negative");
-        Self { lr, beta1, beta2, eps, weight_decay, t: 0, m: Vec::new(), v: Vec::new() }
-    }
-
-    /// Adam with standard betas (0.9, 0.999) and the given learning rate.
+    /// Panics on a non-positive `lr`.
     #[must_use]
     pub fn with_lr(lr: f32) -> Self {
-        Self::new(lr, 0.9, 0.999, 1e-8, 0.0)
+        assert!(lr > 0.0, "learning rate must be positive");
+        Self { lr, t: 0, m: Vec::new(), v: Vec::new() }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]) {
+    /// Applies one update step.
+    ///
+    /// The flattened parameter and gradient lists must keep a stable order
+    /// across steps (as produced by [`crate::Sequential::params_mut`] and
+    /// a flattened [`crate::BackwardResult::param_grads`]); per-parameter
+    /// state is keyed by position.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `params` and `grads` disagree in length or shapes, or
+    /// when the parameter list changes shape between steps.
+    pub fn step(&mut self, params: &mut [&mut Tensor], grads: &[Tensor]) {
         check_shapes(params, grads);
         if self.m.is_empty() {
             self.m = grads.iter().map(|g| Tensor::zeros(g.shape().to_vec())).collect();
@@ -77,8 +59,8 @@ impl Optimizer for Adam {
         }
         assert_eq!(self.m.len(), params.len(), "optimizer state size changed");
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for (((p, g), m), v) in params.iter_mut().zip(grads).zip(&mut self.m).zip(&mut self.v) {
             for (((pv, &gv), mv), vv) in p
                 .as_mut_slice()
@@ -87,22 +69,14 @@ impl Optimizer for Adam {
                 .zip(m.as_mut_slice())
                 .zip(v.as_mut_slice())
             {
-                let grad = gv + self.weight_decay * *pv;
-                *mv = self.beta1 * *mv + (1.0 - self.beta1) * grad;
-                *vv = self.beta2 * *vv + (1.0 - self.beta2) * grad * grad;
+                let grad = gv + WEIGHT_DECAY * *pv;
+                *mv = BETA1 * *mv + (1.0 - BETA1) * grad;
+                *vv = BETA2 * *vv + (1.0 - BETA2) * grad * grad;
                 let mhat = *mv / bc1;
                 let vhat = *vv / bc2;
-                *pv -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                *pv -= self.lr * mhat / (vhat.sqrt() + EPS);
             }
         }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -110,7 +84,7 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    fn quadratic_descend(opt: &mut dyn Optimizer, steps: usize) -> f32 {
+    fn quadratic_descend(opt: &mut Adam, steps: usize) -> f32 {
         // Minimize f(w) = (w - 3)² starting from w = 0.
         let mut w = Tensor::from_slice(&[0.0]);
         for _ in 0..steps {
@@ -125,14 +99,6 @@ mod tests {
         let mut opt = Adam::with_lr(0.3);
         let w = quadratic_descend(&mut opt, 300);
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::with_lr(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
     }
 
     #[test]

@@ -4,14 +4,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stone_nn::{
-    Adam, Conv2d, CrossEntropyLoss, Dense, Flatten, L2Normalize, Mode, Optimizer, Relu, Sequential,
+    Adam, Conv2d, CrossEntropyLoss, Dense, Flatten, L2Normalize, Mode, Relu, Sequential,
     TripletLoss,
 };
 use stone_tensor::Tensor;
 
 fn train_step(
     net: &mut Sequential,
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     x: &Tensor,
     grad_fn: impl Fn(&Tensor) -> (f32, Tensor),
     rng: &mut StdRng,

@@ -231,8 +231,10 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
+/// Escapes a label value so that [`parse_exposition`] reads it back
+/// exactly, newlines included.
 fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"")
+    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
 fn fmt_value(buf: &mut String, value: f64) {
@@ -378,7 +380,7 @@ fn parse_labels(inner: &str) -> Result<Vec<(String, String)>, String> {
         if key.is_empty() || !key.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
             return Err(format!("invalid label name {key:?}"));
         }
-        // Scan for the closing quote, honoring \" and \\ escapes.
+        // Scan for the closing quote, honoring \", \\ and \n escapes.
         let mut value = String::new();
         let bytes = &rest[eq + 2..];
         let mut chars = bytes.char_indices();
@@ -444,7 +446,7 @@ mod tests {
     #[test]
     fn render_parses_back_exactly() {
         let reg = Registry::new();
-        reg.counter("a_total", &[("venue", "of\"fi\\ce")]).add(7);
+        reg.counter("a_total", &[("venue", "of\"fi\\ce\nb")]).add(7);
         reg.gauge("b_depth", &[]).set(-4);
         let h = reg.histogram("c_us", &[("venue", "x")]);
         h.observe_us(1);
@@ -454,7 +456,7 @@ mod tests {
         let find =
             |name: &str| -> Vec<&Sample> { samples.iter().filter(|s| s.name == name).collect() };
         assert_eq!(find("a_total")[0].value, 7.0);
-        assert_eq!(find("a_total")[0].labels[0].1, "of\"fi\\ce");
+        assert_eq!(find("a_total")[0].labels[0].1, "of\"fi\\ce\nb");
         assert_eq!(find("b_depth")[0].value, -4.0);
         assert_eq!(find("c_us_count")[0].value, 2.0);
         assert_eq!(find("c_us_sum")[0].value, 1_000_001.0);

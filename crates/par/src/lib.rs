@@ -19,11 +19,6 @@
 //! serve-time small batches. [`shutdown_pool`] tears the workers down (the
 //! next call re-initializes); [`pool_threads`] observes the worker count.
 //!
-//! [`inline_scope`] additionally lets long-lived threads owned by *other*
-//! subsystems (e.g. the serving layer's batch executors) borrow the same
-//! "nested calls run inline" marking the primitives apply to their own
-//! workers.
-//!
 //! # Determinism
 //!
 //! Every primitive assigns work by *input position*, never by completion
@@ -171,33 +166,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
         }
     }
     let _restore = Restore(OVERRIDE.swap(n, Ordering::SeqCst));
-    f()
-}
-
-/// Runs `f` with the current thread marked as a parallel worker, so every
-/// nested `stone-par` call inside `f` sees a budget of 1 and runs inline.
-///
-/// The fork-join primitives apply this marking to their own workers
-/// automatically; `inline_scope` exposes it for **long-lived threads owned
-/// by other subsystems** that already provide their own parallelism. The
-/// canonical user is the serving layer (`stone-serve`): when several batch
-/// executor threads run concurrently, each executes its
-/// `StoneLocalizer::locate_batch` inside an `inline_scope`, so the batched
-/// kernels do not fork another `STONE_THREADS`-wide region per executor and
-/// oversubscribe the machine. Results are unaffected — every parallel path
-/// in the workspace is bitwise-identical at any thread count, including 1.
-///
-/// The marking is restored on exit (also on panic), and nesting is fine.
-///
-/// # Example
-///
-/// ```
-/// // Inside the scope, parallel primitives run inline.
-/// let budget = stone_par::inline_scope(stone_par::max_threads);
-/// assert_eq!(budget, 1);
-/// ```
-pub fn inline_scope<R>(f: impl FnOnce() -> R) -> R {
-    let _w = WorkerGuard::enter();
     f()
 }
 
@@ -364,17 +332,6 @@ mod tests {
         let inner_counts = with_threads(4, || par_map(&[(), (), ()], |_, ()| max_threads()));
         // Workers must see a single-thread budget regardless of the override.
         assert_eq!(inner_counts, vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn inline_scope_pins_budget_and_restores() {
-        let _g = lock();
-        with_threads(4, || {
-            assert_eq!(inline_scope(max_threads), 1);
-            // Nested scopes stay pinned and unwind correctly.
-            assert_eq!(inline_scope(|| inline_scope(max_threads)), 1);
-            assert_eq!(max_threads(), 4, "marking must not leak out of the scope");
-        });
     }
 
     #[test]

@@ -146,8 +146,8 @@ impl Breaker {
                 true
             }
             // Fast-failed batches never reach record_failure; a failure
-            // while already Open (racing executors) just restarts the
-            // cooldown without counting as a fresh trip.
+            // while already Open just restarts the cooldown without
+            // counting as a fresh trip.
             State::Open { .. } => {
                 *state = open;
                 false

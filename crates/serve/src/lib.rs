@@ -10,17 +10,16 @@
 //! at once. Three pieces:
 //!
 //! * [`LocalizationServer`] — a **venue-sharded** bounded request queue
-//!   (per-venue FIFO sub-queues under one shared global capacity, optional
-//!   per-venue cap) plus batch executor threads that drain **single-venue**
-//!   batches and **coalesce concurrent single-scan queries** into
-//!   [`stone::StoneLocalizer::locate_batch`] calls (micro-batching with
-//!   [`ServerConfig::max_batch`]/[`ServerConfig::max_wait`] knobs,
-//!   backpressure via the bounded queue). A phone submits one scan; the
-//!   server amortizes the encoder forward pass across every scan that
-//!   arrived in the same window *for the same venue* — batches stay fat
-//!   per venue however many venues fan out, and the scheduler drains the
-//!   deepest backlog first while `max_wait` bounds how long any venue's
-//!   oldest request can be passed over (no starvation).
+//!   (per-venue FIFO sub-queues under one shared global capacity) plus one
+//!   batch executor thread that drains **single-venue** batches and
+//!   **coalesces concurrent single-scan queries** into
+//!   [`stone::StoneLocalizer::locate_batch`] calls (micro-batching up to
+//!   [`ServerConfig::max_batch`], backpressure via the bounded queue). A
+//!   phone submits one scan; the server amortizes the encoder forward pass
+//!   across every scan that piled up *for the same venue* while the
+//!   previous batch ran — batches stay fat per venue however many venues
+//!   fan out, and the scheduler drains the venue whose head request is
+//!   oldest, so no venue starves.
 //! * [`ModelRegistry`] — per-venue models behind atomic [`Arc`] swaps:
 //!   publishing a retrained model is a **warm reload**. In-flight batches
 //!   finish on the snapshot they started with, new batches see the new
@@ -30,8 +29,7 @@
 //! * [`StatsSnapshot`] — queue depth, a batch-size histogram (the direct
 //!   observability of coalescing) and p50/p99 enqueue→reply latency
 //!   (rank-interpolated within power-of-two buckets), per venue
-//!   ([`VenueStatsSnapshot`], which also splits shed-by-global-capacity
-//!   from shed-by-venue-cap) and summed across venues. Snapshots render as
+//!   ([`VenueStatsSnapshot`]) and summed across venues. Snapshots render as
 //!   Prometheus-style text ([`StatsSnapshot::exposition`]) for the wire
 //!   admin endpoint.
 //!
@@ -127,7 +125,6 @@ pub use stats::{StatsSnapshot, VenueStatsSnapshot};
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
     use stone::{KnnMode, StoneBuilder, StoneConfig, TrainerConfig};
     use stone_dataset::{office_suite, Localizer, SuiteConfig};
 
@@ -148,7 +145,7 @@ mod tests {
     }
 
     fn quick_config() -> ServerConfig {
-        ServerConfig { max_batch: 8, max_wait: Duration::from_millis(1), ..Default::default() }
+        ServerConfig { max_batch: 8, ..Default::default() }
     }
 
     #[test]

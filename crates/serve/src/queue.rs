@@ -2,17 +2,14 @@
 //!
 //! One [`ShardedQueue`] replaces the single shared `sync_channel` of the
 //! pre-PR 8 server: every venue gets its own FIFO sub-queue, all of them
-//! accounted against **one shared global capacity** (so the bounded-queue /
-//! shed contract of the backpressure suites is preserved exactly), with an
-//! optional per-venue cap on top so one hot venue cannot monopolize the
-//! whole buffer.
+//! accounted against **one shared global capacity**, so the bounded-queue /
+//! shed contract of the backpressure suites is preserved exactly.
 //!
-//! The payoff is on the *drain* side: [`ShardedQueue::collect`] hands an
-//! executor one **single-venue** batch — the deepest backlog, unless some
-//! venue's head request has aged past `max_wait`, in which case the oldest
-//! such head goes first (starvation is bounded by `max_wait` per request).
-//! A tie between equally deep venues resolves round-robin via a rotating
-//! cursor. Under venue fan-out this keeps encoder batches fat per venue
+//! The payoff is on the *drain* side: [`ShardedQueue::collect`] hands the
+//! executor one **single-venue** batch — the venue whose head request has
+//! waited longest, drained whole up to `max_batch`. That bounds
+//! starvation: a venue's head is passed over only by older heads. Under
+//! venue fan-out whole-venue drains keep encoder batches fat per venue
 //! instead of fragmenting a mixed drain into per-venue slivers (the
 //! 16-venue regression of docs/PERFORMANCE.md).
 //!
@@ -29,7 +26,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::breaker::Breaker;
 use crate::server::{LocateResponse, ServeError, ServerConfig};
@@ -107,9 +104,7 @@ pub(crate) enum Collected {
         /// each with [`ServeError::DeadlineExceeded`].
         expired: Vec<Request>,
         /// When the executor began draining this batch — the boundary
-        /// between a request's queue-wait span and the collect span
-        /// (requests enqueued *during* the straggler window use their own
-        /// later enqueue instant instead).
+        /// between a request's queue-wait span and the collect span.
         drained_at: Instant,
     },
     /// The queue is closed and fully drained: the executor exits.
@@ -130,8 +125,6 @@ struct Inner {
     queued: usize,
     closed: bool,
     paused: bool,
-    /// Round-robin scan start for victim selection (fairness tie-break).
-    cursor: usize,
 }
 
 impl Inner {
@@ -150,45 +143,24 @@ impl Inner {
         i
     }
 
-    /// The venue an executor should drain next, or `None` when nothing is
-    /// queued. Priority: any head older than `max_wait` (oldest first — the
-    /// per-request latency bound), otherwise the deepest backlog (fattest
-    /// batch); ties go round-robin from the cursor.
-    fn pick_victim(&self, max_wait: Duration) -> Option<usize> {
-        let n = self.shards.len();
-        let now = Instant::now();
-        let mut best: Option<(usize, bool, Instant, usize)> = None;
-        for off in 0..n {
-            let i = (self.cursor + off) % n;
-            let shard = &self.shards[i];
-            let Some(head) = shard.queue.front() else { continue };
-            let overdue = now.duration_since(head.enqueued) >= max_wait;
-            let better = match best {
-                None => true,
-                Some((_, best_overdue, best_head, best_len)) => {
-                    if overdue != best_overdue {
-                        overdue
-                    } else if overdue {
-                        head.enqueued < best_head
-                    } else {
-                        shard.queue.len() > best_len
-                    }
-                }
-            };
-            if better {
-                best = Some((i, overdue, head.enqueued, shard.queue.len()));
-            }
-        }
-        best.map(|(i, ..)| i)
+    /// The venue the executor should drain next — the one whose head
+    /// request has waited longest — or `None` when nothing is queued.
+    fn pick_victim(&self) -> Option<usize> {
+        self.shards
+            .iter()
+            .enumerate()
+            .filter_map(|(i, shard)| shard.queue.front().map(|head| (head.enqueued, i)))
+            .min()
+            .map(|(_, i)| i)
     }
 }
 
-/// The per-venue bounded queue shared by client handles and executors.
+/// The per-venue bounded queue shared by client handles and the executor.
 pub(crate) struct ShardedQueue {
     inner: Mutex<Inner>,
-    /// Executors wait here for work (and for resume/close).
+    /// The executor waits here for work (and for resume/close).
     work: Condvar,
-    /// Blocking producers wait here for a slot (global or per-venue).
+    /// Blocking producers wait here for a slot.
     space: Condvar,
     pub(crate) cfg: ServerConfig,
 }
@@ -202,7 +174,6 @@ impl ShardedQueue {
                 queued: 0,
                 closed: false,
                 paused,
-                cursor: 0,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
@@ -214,10 +185,9 @@ impl ShardedQueue {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Queues `req` for `venue`. When the shared capacity or the venue's
-    /// cap is exhausted, `block` waits for a slot (backpressure); otherwise
-    /// the request is shed with [`ServeError::QueueFull`] or
-    /// [`ServeError::VenueQueueFull`]. A closed queue refuses with
+    /// Queues `req` for `venue`. When the shared capacity is exhausted,
+    /// `block` waits for a slot (backpressure); otherwise the request is
+    /// shed with [`ServeError::QueueFull`]. A closed queue refuses with
     /// [`ServeError::ShuttingDown`]. A refused request is answered with the
     /// returned error before this returns, outside the lock.
     pub(crate) fn push(&self, venue: &str, req: Request, block: bool) -> Result<(), ServeError> {
@@ -227,10 +197,9 @@ impl ShardedQueue {
                 break ServeError::ShuttingDown;
             }
             let idx = inner.shard_idx(venue, &self.cfg);
-            let global_full = inner.queued >= self.cfg.queue_capacity;
+            let full = inner.queued >= self.cfg.queue_capacity;
             let shard = &mut inner.shards[idx];
-            let venue_full = self.cfg.venue_capacity.is_some_and(|cap| shard.queue.len() >= cap);
-            if !global_full && !venue_full {
+            if !full {
                 // Counted under the lock: no executor can pull (and
                 // complete) the request before its enqueue is recorded.
                 shard.venue.stats.record_enqueued();
@@ -241,13 +210,8 @@ impl ShardedQueue {
                 return Ok(());
             }
             if !block {
-                break if global_full {
-                    shard.venue.stats.record_shed_global();
-                    ServeError::QueueFull
-                } else {
-                    shard.venue.stats.record_shed_venue();
-                    ServeError::VenueQueueFull { venue: venue.to_string() }
-                };
+                shard.venue.stats.record_shed();
+                break ServeError::QueueFull;
             }
             inner = self.space.wait(inner).unwrap_or_else(PoisonError::into_inner);
         };
@@ -265,25 +229,22 @@ impl ShardedQueue {
     }
 
     /// Hands the calling executor its next single-venue batch, blocking
-    /// while the queue is empty or paused. Once a venue is picked its whole
-    /// sub-queue drains (up to `max_batch`); an under-full batch is held
-    /// open for same-venue stragglers until its *oldest* request has waited
-    /// `max_wait` — so no request's time-to-execution exceeds `max_wait`
-    /// plus one batch execution, whatever venue it targets.
+    /// while the queue is empty or paused: the venue with the oldest head
+    /// request, drained up to `max_batch`. Whatever piled up for that
+    /// venue coalesces; no batch waits for more.
     ///
     /// Requests whose deadline has already passed are split into the
     /// batch's `expired` list as they are popped: expired work never
     /// occupies one of the `max_batch` live slots and never reaches
     /// `locate_batch`.
     pub(crate) fn collect(&self) -> Collected {
-        let ServerConfig { max_batch, max_wait, .. } = self.cfg;
         let mut inner = self.lock();
         let idx = loop {
             if inner.paused && !inner.closed {
                 inner = self.work.wait(inner).unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
-            if let Some(idx) = inner.pick_victim(max_wait) {
+            if let Some(idx) = inner.pick_victim() {
                 break idx;
             }
             if inner.closed {
@@ -292,63 +253,26 @@ impl ShardedQueue {
             inner = self.work.wait(inner).unwrap_or_else(PoisonError::into_inner);
         };
 
-        inner.cursor = (idx + 1) % inner.shards.len();
-        let venue = Arc::clone(&inner.shards[idx].venue);
         let drained_at = Instant::now();
+        let shard = &mut inner.shards[idx];
+        let venue = Arc::clone(&shard.venue);
         let mut requests = Vec::new();
         let mut expired = Vec::new();
-        let drain = |inner: &mut Inner, requests: &mut Vec<Request>, expired: &mut Vec<Request>| {
-            let now = Instant::now();
-            let mut popped = false;
-            while requests.len() < max_batch {
-                let Some(req) = inner.shards[idx].queue.pop_front() else { break };
-                inner.queued -= 1;
-                if req.deadline.is_some_and(|d| now >= d) {
-                    expired.push(req);
-                } else {
-                    requests.push(req);
-                }
-                popped = true;
-            }
-            popped
-        };
-        if drain(&mut inner, &mut requests, &mut expired) {
-            self.space.notify_all();
-        }
-
-        // Straggler window: hold the under-full batch open for *this venue*
-        // until its oldest request hits max_wait. Zero by default — adaptive
-        // batching alone (whatever piled up during the previous batch) pays
-        // for coalescing without adding latency. Skipped when every drained
-        // request was expired: there is no live request to age against.
-        if !inner.closed
-            && !requests.is_empty()
-            && requests.len() < max_batch
-            && max_wait > Duration::ZERO
-        {
-            let deadline = requests[0].enqueued + max_wait;
-            loop {
-                if drain(&mut inner, &mut requests, &mut expired) {
-                    self.space.notify_all();
-                }
-                if requests.len() >= max_batch || inner.closed {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = self
-                    .work
-                    .wait_timeout(inner, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                inner = guard;
+        while requests.len() < self.cfg.max_batch {
+            let Some(req) = shard.queue.pop_front() else { break };
+            if req.deadline.is_some_and(|d| drained_at >= d) {
+                expired.push(req);
+            } else {
+                requests.push(req);
             }
         }
+        inner.queued -= requests.len() + expired.len();
+        drop(inner);
+        self.space.notify_all();
         Collected::Batch { venue, requests, expired, drained_at }
     }
 
-    /// Unparks executors parked by a paused start. Idempotent.
+    /// Unparks an executor parked by a paused start. Idempotent.
     pub(crate) fn resume(&self) {
         let mut inner = self.lock();
         if inner.paused {
@@ -359,8 +283,9 @@ impl ShardedQueue {
     }
 
     /// Closes the queue: pushes fail from here on, blocked producers wake
-    /// with their request handed back, and executors drain what remains
-    /// then receive [`Collected::Closed`]. Clears pause — a drain must run.
+    /// with their request handed back, and the executor drains what
+    /// remains then receives [`Collected::Closed`]. Clears pause — a drain
+    /// must run.
     pub(crate) fn close(&self) {
         let mut inner = self.lock();
         inner.closed = true;
@@ -376,11 +301,10 @@ impl std::fmt::Debug for ShardedQueue {
         let inner = self.lock();
         write!(
             f,
-            "ShardedQueue(queued={}, venues={}, capacity={}, venue_capacity={:?})",
+            "ShardedQueue(queued={}, venues={}, capacity={})",
             inner.queued,
             inner.shards.len(),
-            self.cfg.queue_capacity,
-            self.cfg.venue_capacity
+            self.cfg.queue_capacity
         )
     }
 }

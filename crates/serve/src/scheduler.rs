@@ -1,12 +1,13 @@
-//! The venue-affine batch executors.
+//! The batch executor.
 //!
-//! Each executor thread loops: ask the [`ShardedQueue`] for its next
-//! **single-venue** batch (deepest backlog first, `max_wait`-overdue heads
-//! before that — see the queue's victim policy), snapshot that venue's
-//! model once, run one [`stone::StoneLocalizer::locate_batch`], reply.
-//! Because a batch never mixes venues, the encoder amortization that pays
-//! for batching survives venue fan-out: 16 venues at depth 64 drain as 16
-//! fat single-venue batches, not 16 four-scan slivers per drain.
+//! The server's one executor thread loops: ask the [`ShardedQueue`] for
+//! its next **single-venue** batch (the venue with the oldest head request
+//! — see the queue's victim policy), snapshot that venue's model once, run
+//! one [`stone::StoneLocalizer::locate_batch`], reply. The batch fans out
+//! across `STONE_THREADS` inside the batched kernels. Because a batch never
+//! mixes venues, the encoder amortization that pays for batching survives
+//! venue fan-out: 16 venues at depth 64 drain as 16 fat single-venue
+//! batches, not 16 four-scan slivers per drain.
 //!
 //! The registry snapshot is taken *per batch*: a warm reload
 //! ([`crate::ModelRegistry::publish`]) between two batches of the same
@@ -45,18 +46,13 @@ use stone_radio::Point2;
 use crate::chaos::ChaosState;
 use crate::queue::{Collected, Request, ShardedQueue, Venue};
 use crate::registry::ModelRegistry;
-use crate::server::{LocateResponse, ServeError, ServerConfig};
+use crate::server::{LocateResponse, ServeError};
 use crate::stats::VenueStats;
 
-/// One executor thread: pull a single-venue batch, execute, reply, repeat —
+/// The executor thread: pull a single-venue batch, execute, reply, repeat —
 /// until the queue closes and drains dry. The batch carries its venue's
 /// counters and breaker, so nothing here looks a venue up.
-pub(crate) fn executor_loop(
-    queue: &ShardedQueue,
-    registry: &ModelRegistry,
-    chaos: &ChaosState,
-    cfg: ServerConfig,
-) {
+pub(crate) fn executor_loop(queue: &ShardedQueue, registry: &ModelRegistry, chaos: &ChaosState) {
     while let Collected::Batch { venue, requests, expired, drained_at } = queue.collect() {
         // Last-resort isolation: the model call has its own catch_unwind
         // below, but nothing anywhere in batch handling may kill the
@@ -68,7 +64,7 @@ pub(crate) fn executor_loop(
                 fail_unbatched(&venue, expired, VenueStats::record_expired, &err);
             }
             if !requests.is_empty() {
-                execute_batch(registry, chaos, &cfg, &venue, requests, drained_at);
+                execute_batch(registry, chaos, &venue, requests, drained_at);
             }
         }));
     }
@@ -98,17 +94,15 @@ fn fail_unbatched(
 ///
 /// When tracing is enabled, every answered request of the batch gets five
 /// contiguous stage spans whose durations sum to its end-to-end latency:
-/// queue wait (enqueue → drain begin, or zero for a straggler that joined
-/// mid-window), collect (drain begin → batch handed over), snapshot
-/// (breaker admission + registry snapshot), infer (dimension checks + the
-/// model call + result assembly) and write-back (results ready → this
-/// request's reply sent). Expired and fast-failed requests record no
+/// queue wait (enqueue → drain begin), collect (drain begin → batch handed
+/// over), snapshot (breaker admission + registry snapshot), infer
+/// (dimension checks + the model call + result assembly) and write-back
+/// (results ready → this request's reply sent). Expired and fast-failed requests record no
 /// spans — they never ran the pipeline being attributed.
 #[allow(clippy::too_many_lines)]
 fn execute_batch(
     registry: &ModelRegistry,
     chaos: &ChaosState,
-    cfg: &ServerConfig,
     venue: &Venue,
     batch: Vec<Request>,
     drained_at: Instant,
@@ -176,15 +170,7 @@ fn execute_batch(
                 // return.
                 let outcome = catch_unwind(AssertUnwindSafe(|| -> Vec<Point2> {
                     chaos.before_batch(name, version);
-                    if cfg.workers > 1 {
-                        // Several executors may be running batches
-                        // concurrently: each keeps its kernels inline so
-                        // the machine is not oversubscribed (see
-                        // ServerConfig::workers).
-                        stone_par::inline_scope(|| model.locate_batch(&scans))
-                    } else {
-                        model.locate_batch(&scans)
-                    }
+                    model.locate_batch(&scans)
                 }));
                 match outcome {
                     Ok(positions) => {
@@ -229,13 +215,8 @@ fn execute_batch(
             let (trace_id, enqueued) = (req.trace_id, req.enqueued);
             req.reply.send(result);
             let replied_at = Instant::now();
-            // A straggler that joined during the collect window was
-            // enqueued after the drain began: its queue wait is zero and
-            // its collect span starts at its own (later) enqueue instant,
-            // keeping the five spans contiguous from enqueue to reply.
-            let qw_end = enqueued.max(drained_at);
-            record_span_between(trace_id, Stage::QueueWait, enqueued, qw_end);
-            record_span_between(trace_id, Stage::Collect, qw_end, collected_at);
+            record_span_between(trace_id, Stage::QueueWait, enqueued, drained_at);
+            record_span_between(trace_id, Stage::Collect, drained_at, collected_at);
             record_span_between(trace_id, Stage::Snapshot, collected_at, snapshotted_at);
             record_span_between(trace_id, Stage::Infer, snapshotted_at, inferred_at);
             record_span_between(trace_id, Stage::WriteBack, inferred_at, replied_at);

@@ -1,10 +1,9 @@
 //! The batching localization server: public API and lifecycle.
 //!
-//! Clients submit *single* scans; a small pool of batch executors pulls
+//! Clients submit *single* scans; one batch executor thread pulls
 //! **single-venue** batches off the venue-sharded queue (see
 //! [`crate::queue`]) and coalesces whatever is waiting for that venue (up
-//! to [`ServerConfig::max_batch`], holding an under-full batch open at most
-//! [`ServerConfig::max_wait`] past its oldest request) into one
+//! to [`ServerConfig::max_batch`]) into one
 //! [`stone::StoneLocalizer::locate_batch`] call — the path that amortizes
 //! the encoder forward pass and unlocks the parallel kernels. Results are
 //! **bitwise identical** to per-scan `Localizer::locate` calls on the same
@@ -56,15 +55,6 @@ pub enum ServeError {
     /// (backpressure; only [`ServerHandle::try_submit_with`] reports this —
     /// [`ServerHandle::submit`] waits for a slot instead).
     QueueFull,
-    /// The venue's **own sub-queue cap** ([`ServerConfig::venue_capacity`])
-    /// is full while the global capacity still had room — one hot venue is
-    /// hogging the buffer. Wire front-ends surface this exactly like
-    /// [`ServeError::QueueFull`] (a shed), but the split is visible in the
-    /// per-venue stats and to in-process callers.
-    VenueQueueFull {
-        /// The venue whose sub-queue is full.
-        venue: String,
-    },
     /// The request's deadline expired while it was still queued. The
     /// scheduler drops expired requests at collect time — they never occupy
     /// a batch slot or reach the model. Only requests submitted with a
@@ -105,9 +95,6 @@ impl std::fmt::Display for ServeError {
                 write!(f, "scan has {got} APs but the model for {venue:?} expects {expected}")
             }
             ServeError::QueueFull => write!(f, "request queue full"),
-            ServeError::VenueQueueFull { venue } => {
-                write!(f, "request sub-queue for {venue:?} full")
-            }
             ServeError::DeadlineExceeded { venue } => {
                 write!(f, "request for {venue:?} expired in queue before execution")
             }
@@ -140,40 +127,15 @@ pub struct LocateResponse {
 pub struct ServerConfig {
     /// Most requests coalesced into one `locate_batch` call. 1 disables
     /// batching (every request runs alone — the baseline the micro benches
-    /// compare against).
+    /// compare against). Whatever is queued for the picked venue coalesces
+    /// without waiting (adaptive batching: what piled up while the previous
+    /// batch executed forms the next one), so batching adds no latency.
     pub max_batch: usize,
-    /// The per-request scheduling bound: a venue whose oldest queued
-    /// request has waited this long is drained before deeper venues (so no
-    /// venue starves past `max_wait`), and an executor holds an under-full
-    /// single-venue batch open for stragglers at most until its oldest
-    /// request hits this age. Requests already queued for the picked venue
-    /// always coalesce without waiting (adaptive batching: whatever piled
-    /// up while the previous batch executed forms the next one), so the
-    /// default of **zero** adds no latency, schedules strictly
-    /// oldest-venue-first, and still batches under concurrent load. A
-    /// positive window grows batches further at the cost of p50 latency —
-    /// worthwhile when per-batch fixed cost dominates per-scan cost.
-    pub max_wait: Duration,
     /// Capacity of the bounded request queue — the backpressure boundary,
     /// **shared across all venues**. [`ServerHandle::submit`] waits for a
     /// slot; [`ServerHandle::try_submit_with`] sheds with
     /// [`ServeError::QueueFull`].
     pub queue_capacity: usize,
-    /// Optional cap on any single venue's sub-queue, carved out of the
-    /// shared `queue_capacity`. `None` (the default, and the pre-PR 8
-    /// contract) lets one venue fill the whole buffer; `Some(cap)` sheds a
-    /// venue's overflow with [`ServeError::VenueQueueFull`] once that venue
-    /// alone holds `cap` queued requests, keeping room for the others.
-    pub venue_capacity: Option<usize>,
-    /// Batch executor threads. The default 1 is usually right: a coalesced
-    /// batch already fans out across `STONE_THREADS` inside the batched
-    /// kernels (via the long-lived `stone-par` worker pool, so entering a
-    /// parallel region costs microseconds, not a thread spawn). With
-    /// several executors each drains a *different* venue concurrently
-    /// (batches are single-venue) and runs its batch inside
-    /// [`stone_par::inline_scope`], so concurrent batches never
-    /// oversubscribe the machine (executors × kernel threads).
-    pub workers: usize,
     /// Consecutive panicked batches that trip a venue's circuit breaker
     /// (fast-failing the venue with [`ServeError::VenueUnavailable`] and
     /// rolling it back to its last-good model). **0 disables the breaker**;
@@ -188,10 +150,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_wait: Duration::ZERO,
             queue_capacity: 1024,
-            venue_capacity: None,
-            workers: 1,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(100),
         }
@@ -202,10 +161,6 @@ impl ServerConfig {
     fn validate(&self) {
         assert!(self.max_batch > 0, "max_batch must be at least 1");
         assert!(self.queue_capacity > 0, "queue_capacity must be at least 1");
-        assert!(self.workers > 0, "workers must be at least 1");
-        if let Some(cap) = self.venue_capacity {
-            assert!(cap > 0, "venue_capacity must be at least 1 when set");
-        }
     }
 }
 
@@ -215,7 +170,7 @@ impl ServerConfig {
 /// (coalescing observable in the batch histogram, warm reload with zero
 /// dropped queries, responses bitwise-equal to direct `locate` calls on the
 /// same snapshot) is pinned by `tests/server_smoke.rs`, and the sharded
-/// scheduler's fairness and shed split by `tests/scheduler_fairness.rs`.
+/// scheduler's order and starvation bound by `tests/scheduler_fairness.rs`.
 ///
 /// # Example
 ///
@@ -239,23 +194,23 @@ pub struct LocalizationServer {
     registry: Arc<ModelRegistry>,
     queue: Arc<ShardedQueue>,
     cfg: ServerConfig,
-    workers: Vec<JoinHandle<()>>,
+    /// The batch executor thread; `None` once shut down.
+    executor: Option<JoinHandle<()>>,
 }
 
 impl LocalizationServer {
-    /// Starts the executor threads and returns the running server.
+    /// Starts the executor thread and returns the running server.
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is degenerate (zero `max_batch`,
-    /// `queue_capacity`, `venue_capacity` or `workers`) or a thread cannot
-    /// be spawned.
+    /// Panics when the configuration is degenerate (zero `max_batch` or
+    /// `queue_capacity`) or the thread cannot be spawned.
     #[must_use]
     pub fn start(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Self {
         Self::start_inner(registry, cfg, false, ChaosConfig::none())
     }
 
-    /// Like [`LocalizationServer::start`], but the executors begin *parked*:
+    /// Like [`LocalizationServer::start`], but the executor begins *parked*:
     /// submits are accepted into the bounded queue (up to `queue_capacity`)
     /// yet nothing executes until [`LocalizationServer::resume`] is called.
     /// This turns "queue full" from a race into a deterministic state — the
@@ -285,7 +240,7 @@ impl LocalizationServer {
         Self::start_inner(registry, cfg, false, chaos)
     }
 
-    /// Unparks the executors of a [`LocalizationServer::start_paused`]
+    /// Unparks the executor of a [`LocalizationServer::start_paused`]
     /// server. Idempotent; a no-op on a server started normally.
     pub fn resume(&self) {
         self.queue.resume();
@@ -299,19 +254,15 @@ impl LocalizationServer {
     ) -> Self {
         cfg.validate();
         let queue = Arc::new(ShardedQueue::new(cfg, paused));
-        let chaos = Arc::new(ChaosState::new(chaos));
-        let workers = (0..cfg.workers)
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let registry = Arc::clone(&registry);
-                let chaos = Arc::clone(&chaos);
-                std::thread::Builder::new()
-                    .name(format!("stone-serve-{i}"))
-                    .spawn(move || executor_loop(&queue, &registry, &chaos, cfg))
-                    .expect("spawn executor thread")
-            })
-            .collect();
-        Self { registry, queue, cfg, workers }
+        let executor = {
+            let queue = Arc::clone(&queue);
+            let registry = Arc::clone(&registry);
+            std::thread::Builder::new()
+                .name("stone-serve".into())
+                .spawn(move || executor_loop(&queue, &registry, &ChaosState::new(chaos)))
+                .expect("spawn executor thread")
+        };
+        Self { registry, queue, cfg, executor: Some(executor) }
     }
 
     /// A cloneable client handle feeding this server's queue.
@@ -341,7 +292,7 @@ impl LocalizationServer {
     }
 
     /// Stops accepting new requests, drains every request already queued,
-    /// and joins the executor threads. Queued requests are *answered*, not
+    /// and joins the executor thread. Queued requests are *answered*, not
     /// dropped — the zero-dropped-queries half of the warm-reload story.
     ///
     /// Idempotent: calling it again (or dropping the server afterwards) is
@@ -353,17 +304,13 @@ impl LocalizationServer {
     }
 
     fn shutdown_inner(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
+        let Some(executor) = self.executor.take() else { return };
         // Closing refuses new submits and fails blocked producers with
-        // ShuttingDown, wakes parked/waiting executors (pause is cleared —
-        // the drain must run), and lets each executor keep collecting
+        // ShuttingDown, wakes a parked or waiting executor (pause is
+        // cleared — the drain must run), and lets it keep collecting
         // single-venue batches until the queue is empty before it exits.
         self.queue.close();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        let _ = executor.join();
     }
 }
 
@@ -456,9 +403,7 @@ impl ServerHandle {
     }
 
     /// Enqueues a scan **without blocking**: it fails fast with
-    /// [`ServeError::QueueFull`] (shared capacity exhausted) or
-    /// [`ServeError::VenueQueueFull`] (the venue's own cap hit) when the
-    /// bounded queue has no slot. The answer is delivered by invoking
+    /// [`ServeError::QueueFull`] when the bounded queue has no slot. The answer is delivered by invoking
     /// `reply` from the executor thread — the submit path a wire front-end
     /// uses to write responses back in **completion order** (a shed
     /// response for a late request can overtake the answer to an earlier
@@ -474,9 +419,8 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::QueueFull`], [`ServeError::VenueQueueFull`] or
-    /// [`ServeError::ShuttingDown`]; the callback has already been invoked
-    /// with the same error.
+    /// Returns [`ServeError::QueueFull`] or [`ServeError::ShuttingDown`];
+    /// the callback has already been invoked with the same error.
     pub fn try_submit_with<F>(&self, submit: Submit<'_>, reply: F) -> Result<(), ServeError>
     where
         F: FnOnce(Result<LocateResponse, ServeError>) + Send + 'static,
@@ -488,8 +432,7 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// Any [`ServeError`] except `QueueFull`/`VenueQueueFull` (a full queue
-    /// blocks instead).
+    /// Any [`ServeError`] except `QueueFull` (a full queue blocks instead).
     pub fn locate(&self, venue: &str, rssi: &[f32]) -> Result<LocateResponse, ServeError> {
         self.submit(venue, rssi)?.wait()
     }

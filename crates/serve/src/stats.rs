@@ -13,7 +13,7 @@
 //!
 //! The server executes **single-venue** batches (the venue-sharded
 //! scheduler), so the per-venue batch-size histograms are the direct
-//! observability of venue-affine coalescing.
+//! observability of per-venue coalescing.
 //!
 //! Latencies land in the power-of-two microsecond buckets of
 //! [`stone_obs::metrics::pow2_bucket`] (bucket `i` holds `[2^i, 2^(i+1))`
@@ -108,10 +108,8 @@ pub(crate) struct VenueStats {
     enqueued: AtomicU64,
     /// Requests answered (successfully or with a per-request error).
     completed: AtomicU64,
-    /// Requests shed because the *global* capacity was exhausted.
-    shed_global: AtomicU64,
-    /// Requests shed because this venue's own sub-queue cap was hit.
-    shed_venue: AtomicU64,
+    /// Requests shed because the shared capacity was exhausted.
+    shed: AtomicU64,
     /// Requests whose deadline expired before a batch executed them.
     expired: AtomicU64,
     /// Batches whose model call panicked (isolated; failed as `Internal`).
@@ -132,8 +130,7 @@ impl VenueStats {
             queue_depth: AtomicUsize::new(0),
             enqueued: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-            shed_global: AtomicU64::new(0),
-            shed_venue: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             panicked_batches: AtomicU64::new(0),
             breaker_trips: AtomicU64::new(0),
@@ -148,12 +145,8 @@ impl VenueStats {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_shed_global(&self) {
-        self.shed_global.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_shed_venue(&self) {
-        self.shed_venue.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_shed(&self) {
+        self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_expired(&self) {
@@ -190,8 +183,7 @@ impl VenueStats {
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             enqueued: self.enqueued.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
-            shed_global: self.shed_global.load(Ordering::Relaxed),
-            shed_venue: self.shed_venue.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             panicked_batches: self.panicked_batches.load(Ordering::Relaxed),
             breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
@@ -216,12 +208,9 @@ pub struct VenueStatsSnapshot {
     pub enqueued: u64,
     /// Requests answered (successfully or with a per-request error).
     pub completed: u64,
-    /// Requests shed because the server's **global** capacity was full
-    /// ([`crate::ServeError::QueueFull`]).
-    pub shed_global: u64,
-    /// Requests shed because this venue's **own** sub-queue cap was hit
-    /// ([`crate::ServeError::VenueQueueFull`]).
-    pub shed_venue: u64,
+    /// Requests for this venue shed because the server's shared capacity
+    /// was full ([`crate::ServeError::QueueFull`]).
+    pub shed: u64,
     /// Requests whose deadline expired before a batch executed them
     /// ([`crate::ServeError::DeadlineExceeded`]); expired work never
     /// reaches the model.
@@ -244,13 +233,6 @@ pub struct VenueStatsSnapshot {
 }
 
 impl VenueStatsSnapshot {
-    /// Requests shed for this venue, whatever the cause (global capacity or
-    /// the venue's own cap).
-    #[must_use]
-    pub fn shed(&self) -> u64 {
-        self.shed_global + self.shed_venue
-    }
-
     /// Number of single-venue batches executed for this venue.
     #[must_use]
     pub fn batches(&self) -> u64 {
@@ -291,8 +273,7 @@ impl VenueStatsSnapshot {
 }
 
 /// A point-in-time copy of a server's counters. Every field but `venues`
-/// is the sum of the same field over `venues` (`rejected` sums both shed
-/// causes).
+/// is the sum of the same field over `venues` (`rejected` sums `shed`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Requests currently enqueued or being executed.
@@ -301,10 +282,8 @@ pub struct StatsSnapshot {
     pub enqueued: u64,
     /// Requests answered (successfully or with a per-request error).
     pub completed: u64,
-    /// Requests rejected because a bounded queue was full — global capacity
-    /// and per-venue cap rejections both land here
-    /// ([`crate::ServerHandle::try_submit_with`] backpressure); the
-    /// per-venue entries in [`StatsSnapshot::venues`] split the two causes.
+    /// Requests rejected because the bounded queue was full
+    /// ([`crate::ServerHandle::try_submit_with`] backpressure).
     pub rejected: u64,
     /// Requests whose deadline expired before a batch executed them, across
     /// all venues.
@@ -348,7 +327,7 @@ impl StatsSnapshot {
             sum.queue_depth += v.queue_depth;
             sum.enqueued += v.enqueued;
             sum.completed += v.completed;
-            sum.rejected += v.shed();
+            sum.rejected += v.shed;
             sum.expired += v.expired;
             sum.panicked_batches += v.panicked_batches;
             add_into(&mut sum.batch_hist, &v.batch_hist);
@@ -413,7 +392,7 @@ impl StatsSnapshot {
     /// shared `stone-obs` format helpers.
     ///
     /// Aggregate series carry no labels; per-venue series carry
-    /// `venue="..."` and the shed breakdown adds `cause="global"|"venue"`.
+    /// `venue="..."`.
     /// The output round-trips through [`stone_obs::parse_exposition`] —
     /// pinned by a unit test here and re-checked over the wire by
     /// `stone-net`'s `admin_telemetry` suite.
@@ -457,18 +436,7 @@ impl StatsSnapshot {
 
         write_type(&mut out, "stone_serve_shed_total", "counter");
         for v in &self.venues {
-            write_sample(
-                &mut out,
-                "stone_serve_shed_total",
-                &[("venue", &v.venue), ("cause", "global")],
-                v.shed_global as f64,
-            );
-            write_sample(
-                &mut out,
-                "stone_serve_shed_total",
-                &[("venue", &v.venue), ("cause", "venue")],
-                v.shed_venue as f64,
-            );
+            write_sample(&mut out, "stone_serve_shed_total", &[("venue", &v.venue)], v.shed as f64);
         }
         write_type(&mut out, "stone_serve_breaker_trips_total", "counter");
         for v in &self.venues {
@@ -608,12 +576,12 @@ mod tests {
         a.record_batch(2);
         a.record_completed(Duration::from_micros(9));
         a.record_completed(Duration::from_micros(1500));
-        a.record_shed_global();
+        a.record_shed();
         let b = VenueStats::new(4);
         b.record_enqueued();
         b.record_batch(1);
         b.record_completed(Duration::from_micros(9));
-        b.record_shed_venue();
+        b.record_shed();
         b.record_breaker_trip();
 
         let snap = StatsSnapshot::from_venues(vec![a.snapshot("hall-a"), b.snapshot("hall-b")], 4);
@@ -635,7 +603,7 @@ mod tests {
         assert_eq!(find("stone_serve_batches_total", &[]), 2.0);
         assert_eq!(find("stone_serve_mean_batch_size", &[]), 1.5);
         assert_eq!(find("stone_serve_enqueued_total", &[("venue", "hall-a")]), 2.0);
-        assert_eq!(find("stone_serve_shed_total", &[("venue", "hall-b"), ("cause", "venue")]), 1.0);
+        assert_eq!(find("stone_serve_shed_total", &[("venue", "hall-b")]), 1.0);
         assert_eq!(find("stone_serve_breaker_trips_total", &[("venue", "hall-b")]), 1.0);
         // Histogram lines are cumulative: all three completions are under
         // the +Inf bucket, only the two fast ones under le="16".
@@ -661,7 +629,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_sum_venues_and_split_shed_causes() {
+    fn aggregates_sum_the_venues() {
         let a = VenueStats::new(4);
         a.record_enqueued();
         a.record_batch(1);
@@ -669,9 +637,9 @@ mod tests {
         a.record_expired();
         let b = VenueStats::new(4);
         b.record_enqueued();
-        b.record_shed_global();
-        b.record_shed_venue();
-        b.record_shed_venue();
+        b.record_shed();
+        b.record_shed();
+        b.record_shed();
         b.record_panicked_batch();
 
         let snap = StatsSnapshot::from_venues(vec![a.snapshot("a"), b.snapshot("b")], 4);
@@ -684,7 +652,7 @@ mod tests {
         assert_eq!(va.p50(), Some(Duration::from_micros(16)));
         let vb = snap.venue("b").expect("venue b tracked");
         assert_eq!((vb.enqueued, vb.queue_depth), (1, 1));
-        assert_eq!((vb.shed_global, vb.shed_venue, vb.shed()), (1, 2, 3));
+        assert_eq!(vb.shed, 3);
         assert_eq!(vb.p50(), None);
         assert!(snap.venue("c").is_none());
         // Every aggregate is the sum over the venues.

@@ -48,13 +48,7 @@ fn overflow_beyond_capacity_is_shed_exactly() {
     // up exactly, not a race we hope to win.
     let mut server = LocalizationServer::start_paused(
         registry,
-        ServerConfig {
-            max_batch: 16,
-            max_wait: Duration::ZERO,
-            queue_capacity: CAPACITY,
-            workers: 1,
-            ..ServerConfig::default()
-        },
+        ServerConfig { max_batch: 16, queue_capacity: CAPACITY, ..ServerConfig::default() },
     );
     let handle = server.handle();
 
@@ -119,13 +113,7 @@ fn callbacks_fire_exactly_once_across_shutdown() {
 
     let mut server = LocalizationServer::start_paused(
         registry,
-        ServerConfig {
-            max_batch: 16,
-            max_wait: Duration::ZERO,
-            queue_capacity: 8,
-            workers: 1,
-            ..ServerConfig::default()
-        },
+        ServerConfig { max_batch: 16, queue_capacity: 8, ..ServerConfig::default() },
     );
     let handle = server.handle();
 

@@ -2,12 +2,11 @@
 //! fail-fast callback submits over three venues (one never published),
 //! with and without deadlines, plus blocking ticket submits while the
 //! queue has room — run against a paused server with a small
-//! `queue_capacity` and `venue_capacity`, then resume and shut down.
+//! `queue_capacity`, then resume and shut down.
 //!
 //! Every reply must fire exactly once, every outcome must match a model of
-//! the two capacities, and the counters must balance:
-//! `enqueued == completed + queue_depth` while paused,
-//! `rejected == Σ(shed_global + shed_venue)`,
+//! the capacity, and the counters must balance:
+//! `enqueued == completed + queue_depth` while paused, `rejected == Σ shed`,
 //! `batched + expired + fast_failed == completed` after the drain, and
 //! every aggregate field equals the sum over `venues`. The stats and
 //! `breaker_states` list every venue submitted to, sorted by name, and a
@@ -33,7 +32,6 @@ const SEEDS: u64 = 64;
 /// "ghost" is never published: its live requests answer `UnknownVenue`.
 const VENUES: [&str; 3] = ["office", "lobby", "ghost"];
 const CAPACITY: usize = 6;
-const VENUE_CAPACITY: usize = 3;
 /// Requests with a budget at or below this expire while the server is
 /// paused (the test sleeps past it before resuming).
 const SHORT: Duration = Duration::from_millis(1);
@@ -44,7 +42,7 @@ const DEADLINES: [Option<Duration>; 4] =
 enum Op {
     /// `try_submit_with` with a callback.
     TrySubmit { venue: usize, scan: usize, deadline: Option<Duration> },
-    /// Blocking `submit`, generated only while both capacities have room.
+    /// Blocking `submit`, generated only while the queue has room.
     Submit { venue: usize, scan: usize },
 }
 
@@ -52,8 +50,7 @@ enum Op {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Admission {
     Accepted,
-    ShedGlobal,
-    ShedVenue,
+    Shed,
 }
 
 /// SplitMix64: one seed drives a whole op list.
@@ -73,26 +70,24 @@ impl Rng {
     }
 }
 
-/// The queue's two capacities, replayed: global first, then the venue cap.
+/// The queue's shared capacity, replayed.
 #[derive(Default)]
 struct Model {
-    queued: [usize; VENUES.len()],
+    queued: usize,
 }
 
 impl Model {
-    fn admit(&mut self, venue: usize) -> Admission {
-        if self.queued.iter().sum::<usize>() >= CAPACITY {
-            Admission::ShedGlobal
-        } else if self.queued[venue] >= VENUE_CAPACITY {
-            Admission::ShedVenue
-        } else {
-            self.queued[venue] += 1;
+    fn admit(&mut self) -> Admission {
+        if self.has_room() {
+            self.queued += 1;
             Admission::Accepted
+        } else {
+            Admission::Shed
         }
     }
 
-    fn has_room(&self, venue: usize) -> bool {
-        self.queued.iter().sum::<usize>() < CAPACITY && self.queued[venue] < VENUE_CAPACITY
+    fn has_room(&self) -> bool {
+        self.queued < CAPACITY
     }
 }
 
@@ -103,12 +98,12 @@ fn ops_for(seed: u64, scans: usize) -> Vec<(Op, Admission)> {
     (0..6 + rng.below(15))
         .map(|_| {
             let (venue, scan) = (rng.below(VENUES.len()), rng.below(scans));
-            let op = if rng.below(4) == 0 && model.has_room(venue) {
+            let op = if rng.below(4) == 0 && model.has_room() {
                 Op::Submit { venue, scan }
             } else {
                 Op::TrySubmit { venue, scan, deadline: DEADLINES[rng.below(DEADLINES.len())] }
             };
-            (op, model.admit(venue))
+            (op, model.admit())
         })
         .collect()
 }
@@ -121,7 +116,7 @@ fn assert_aggregate_is_venue_sum(stats: &StatsSnapshot) {
     assert_eq!(stats.queue_depth, stats.venues.iter().map(|v| v.queue_depth).sum::<usize>());
     assert_eq!(stats.enqueued, sum(|v| v.enqueued));
     assert_eq!(stats.completed, sum(|v| v.completed));
-    assert_eq!(stats.rejected, sum(|v| v.shed_global + v.shed_venue));
+    assert_eq!(stats.rejected, sum(|v| v.shed));
     assert_eq!(stats.expired, sum(|v| v.expired));
     assert_eq!(stats.panicked_batches, sum(|v| v.panicked_batches));
     for (i, &n) in stats.batch_hist.iter().enumerate() {
@@ -139,18 +134,13 @@ fn run(registry: &Arc<ModelRegistry>, scans: &[Vec<f32>], direct: &[Point2], see
     let ops = ops_for(seed, scans.len());
     let mut server = LocalizationServer::start_paused(
         Arc::clone(registry),
-        ServerConfig {
-            max_batch: 4,
-            queue_capacity: CAPACITY,
-            venue_capacity: Some(VENUE_CAPACITY),
-            ..ServerConfig::default()
-        },
+        ServerConfig { max_batch: 4, queue_capacity: CAPACITY, ..ServerConfig::default() },
     );
     let handle = server.handle();
     let replies: Replies = Arc::new(Mutex::new(vec![Vec::new(); ops.len()]));
     let fired = |i: usize| replies.lock().expect("replies")[i].len();
     let mut tickets: Vec<Option<PendingLocate>> = Vec::new();
-    let (mut accepted, mut shed_global, mut shed_venue) = (0u64, 0u64, 0u64);
+    let (mut accepted, mut shed) = (0u64, 0u64);
     let mut seen = BTreeSet::new();
 
     for (i, &(op, admission)) in ops.iter().enumerate() {
@@ -163,10 +153,7 @@ fn run(registry: &Arc<ModelRegistry>, scans: &[Vec<f32>], direct: &[Point2], see
                 });
                 let expected = match admission {
                     Admission::Accepted => Ok(()),
-                    Admission::ShedGlobal => Err(ServeError::QueueFull),
-                    Admission::ShedVenue => {
-                        Err(ServeError::VenueQueueFull { venue: VENUES[venue].into() })
-                    }
+                    Admission::Shed => Err(ServeError::QueueFull),
                 };
                 assert_eq!(returned, expected, "op {i} admission");
                 // A shed fires inline before the call returns; an accepted
@@ -188,8 +175,7 @@ fn run(registry: &Arc<ModelRegistry>, scans: &[Vec<f32>], direct: &[Point2], see
         seen.insert(VENUES[venue]);
         match admission {
             Admission::Accepted => accepted += 1,
-            Admission::ShedGlobal => shed_global += 1,
-            Admission::ShedVenue => shed_venue += 1,
+            Admission::Shed => shed += 1,
         }
 
         let stats = handle.stats();
@@ -197,15 +183,12 @@ fn run(registry: &Arc<ModelRegistry>, scans: &[Vec<f32>], direct: &[Point2], see
         assert_eq!(stats.completed, 0, "nothing completes while paused");
         assert_eq!(stats.enqueued, stats.completed + stats.queue_depth as u64);
         assert_eq!(stats.enqueued, accepted);
-        assert_eq!(stats.rejected, shed_global + shed_venue);
+        assert_eq!(stats.rejected, shed);
         let names: Vec<&str> = stats.venues.iter().map(|v| v.venue.as_str()).collect();
         assert_eq!(names, Vec::from_iter(seen.iter().copied()), "every venue seen, by name");
         let breakers = handle.breaker_states();
         assert!(breakers.iter().map(|(v, _)| v.as_str()).eq(seen.iter().copied()));
         assert!(breakers.iter().all(|(_, s)| *s == BreakerState::Closed), "never batched");
-        let shed: (u64, u64) =
-            stats.venues.iter().fold((0, 0), |(g, c), v| (g + v.shed_global, c + v.shed_venue));
-        assert_eq!(shed, (shed_global, shed_venue), "shed split by cause");
     }
 
     // Every short budget lapses while the executors are still parked.
@@ -255,7 +238,7 @@ fn run(registry: &Arc<ModelRegistry>, scans: &[Vec<f32>], direct: &[Point2], see
     assert_eq!(batched + stats.expired + fast_failed, stats.completed);
     assert_eq!((stats.completed, stats.queue_depth), (accepted, 0));
     assert_eq!(stats.expired, expired);
-    assert_eq!(stats.rejected, shed_global + shed_venue);
+    assert_eq!(stats.rejected, shed);
 
     // A submit after shutdown still fires exactly once, inline.
     let count = Arc::new(Mutex::new(0));

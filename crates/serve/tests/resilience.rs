@@ -43,7 +43,7 @@ fn fixture(seed: u64) -> (Vec<u8>, Vec<f32>) {
 }
 
 fn quick_config() -> ServerConfig {
-    ServerConfig { max_batch: 16, max_wait: Duration::ZERO, ..ServerConfig::default() }
+    ServerConfig { max_batch: 16, ..ServerConfig::default() }
 }
 
 /// Submits `scan` with a deadline budget; the receiver yields its answer.
@@ -122,8 +122,8 @@ fn unexpired_deadlines_do_not_drop_requests() {
     assert_eq!(stats.completed, 1);
 }
 
-/// The full breaker lifecycle, deterministic because `workers: 1` executes
-/// one batch at a time: a panicking v2 model fails its own batches
+/// The full breaker lifecycle, deterministic because the server's one
+/// executor runs one batch at a time: a panicking v2 model fails its own batches
 /// (`Internal`, executor survives), the second consecutive panic trips the
 /// breaker (rolling the venue back to last-good v1), the open breaker
 /// fast-fails without touching the model, and the post-cooldown half-open

@@ -1,8 +1,7 @@
-//! The venue-sharded scheduler contract (PR 8): single-venue batches,
-//! deepest-first drains bounded by `max_wait` per request (no starvation),
-//! the global-vs-venue shed split, venue removal failing queued requests
-//! per-request, and the exactly-K-shed ledger agreeing wire-vs-serve across
-//! kernel thread budgets.
+//! The venue-sharded scheduler contract: single-venue batches
+//! drained oldest-head-first (no starvation), venue removal failing queued
+//! requests per-request, and the exactly-K-shed ledger agreeing
+//! wire-vs-serve across kernel thread budgets.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -57,11 +56,11 @@ fn registry_for(venues: &[String], seed: u64) -> (Arc<ModelRegistry>, Vec<f32>) 
     (registry, scan)
 }
 
-/// With `max_wait = 0` every queued head is overdue, so the scheduler runs
-/// strictly oldest-venue-first while still draining whole venues: requests
-/// interleaved as hot×8, cold-0..2, hot×8 complete as exactly that venue
-/// sequence, with the hot venue's two batches staying fat (size 8) and each
-/// cold venue served alone — deterministic, single executor, paused start.
+/// The scheduler runs strictly oldest-venue-first while still draining
+/// whole venues: requests interleaved as hot×8, cold-0..2, hot×8 complete
+/// as exactly that venue sequence, with the hot venue's two batches
+/// staying fat (size 8) and each cold venue served alone — deterministic,
+/// single executor, paused start.
 #[test]
 fn oldest_first_drains_whole_venues_in_arrival_order() {
     let venues: Vec<String> =
@@ -69,13 +68,7 @@ fn oldest_first_drains_whole_venues_in_arrival_order() {
     let (registry, scan) = registry_for(&venues, 41);
     let mut server = LocalizationServer::start_paused(
         registry,
-        ServerConfig {
-            max_batch: 8,
-            max_wait: Duration::ZERO,
-            queue_capacity: 64,
-            workers: 1,
-            ..ServerConfig::default()
-        },
+        ServerConfig { max_batch: 8, queue_capacity: 64, ..ServerConfig::default() },
     );
     let handle = server.handle();
 
@@ -128,64 +121,6 @@ fn oldest_first_drains_whole_venues_in_arrival_order() {
     assert_eq!(stats.mean_batch_size(), 19.0 / 5.0);
 }
 
-/// Inside the `max_wait` window the scheduler prefers the *deepest* venue —
-/// a lone fresh request does not break up a fat batch opportunity — but
-/// once a head ages past `max_wait` it goes first. Paused start: one early
-/// "shallow" request, then 8 "deep" ones; the deep venue drains first.
-#[test]
-fn deepest_venue_wins_within_the_max_wait_window() {
-    let venues: Vec<String> = ["shallow", "deep"].iter().map(|s| (*s).to_string()).collect();
-    let (registry, scan) = registry_for(&venues, 42);
-    let mut server = LocalizationServer::start_paused(
-        registry,
-        ServerConfig {
-            max_batch: 8,
-            // Far above scheduling jitter: "shallow" cannot turn overdue
-            // between submit and the first drain on any plausible CI box.
-            max_wait: Duration::from_secs(30),
-            queue_capacity: 64,
-            workers: 1,
-            ..ServerConfig::default()
-        },
-    );
-    let handle = server.handle();
-
-    let completions: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let submit = |venue: &str| {
-        let completions = Arc::clone(&completions);
-        let venue_owned = venue.to_string();
-        handle
-            .try_submit_with(Submit::new(venue, &scan), move |result| {
-                result.expect("answered");
-                completions.lock().expect("completions").push(venue_owned);
-            })
-            .expect("fits in queue");
-    };
-    submit("shallow"); // oldest head, depth 1
-    for _ in 0..8 {
-        submit("deep"); // depth 8 == max_batch: executes with no straggler wait
-    }
-
-    server.resume();
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while completions.lock().expect("completions").len() < 8 {
-        assert!(Instant::now() < deadline, "timed out waiting for the deep batch");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert_eq!(
-        completions.lock().expect("completions").as_slice(),
-        &["deep"; 8],
-        "the full deep batch executed before the older shallow request"
-    );
-    // The shallow request is *scheduled* next (nothing else is queued); its
-    // under-full batch may legitimately be held open for stragglers, so
-    // shut down to flush it rather than wait out the window.
-    server.shutdown();
-    let order = completions.lock().expect("completions").clone();
-    assert_eq!(order.len(), 9, "shutdown drained the shallow request");
-    assert_eq!(order[8], "shallow");
-}
-
 /// The live starvation bound of the ISSUE: one hot venue under continuous
 /// closed-loop load must not starve 15 cold venues — every cold request is
 /// answered while the hot load is still running, far faster than waiting
@@ -197,13 +132,7 @@ fn hot_venue_does_not_starve_fifteen_cold_venues() {
     let (registry, scan) = registry_for(&venues, 43);
     let mut server = LocalizationServer::start(
         registry,
-        ServerConfig {
-            max_batch: 16,
-            max_wait: Duration::from_millis(10),
-            queue_capacity: 256,
-            workers: 1,
-            ..ServerConfig::default()
-        },
+        ServerConfig { max_batch: 16, queue_capacity: 256, ..ServerConfig::default() },
     );
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -267,70 +196,6 @@ fn hot_venue_does_not_starve_fifteen_cold_venues() {
     }
 }
 
-/// The shed split (satellite 1): a venue hitting its own sub-queue cap
-/// sheds with `VenueQueueFull` while the shared capacity sheds with
-/// `QueueFull`, the per-venue stats attribute each cause, and the aggregate
-/// `rejected` counter keeps counting both (the wire contract).
-#[test]
-fn venue_cap_and_global_capacity_shed_distinctly() {
-    let venues: Vec<String> = ["a", "b", "c", "d", "e"].iter().map(|s| (*s).to_string()).collect();
-    let (registry, scan) = registry_for(&venues, 44);
-    let mut server = LocalizationServer::start_paused(
-        registry,
-        ServerConfig {
-            max_batch: 16,
-            max_wait: Duration::ZERO,
-            queue_capacity: 8,
-            venue_capacity: Some(2),
-            workers: 1,
-            ..ServerConfig::default()
-        },
-    );
-    let handle = server.handle();
-
-    // Venue "a": 2 fit under the venue cap, 2 more shed as VenueQueueFull
-    // (global capacity still has room).
-    let mut tickets = Vec::new();
-    for i in 0..4 {
-        match try_submit(&handle, "a", &scan) {
-            Ok(t) => {
-                assert!(i < 2, "submission {i} beyond the venue cap was accepted");
-                tickets.push(t);
-            }
-            Err(e) => {
-                assert!(i >= 2, "submission {i} under the venue cap was shed: {e}");
-                assert_eq!(e, ServeError::VenueQueueFull { venue: "a".into() });
-            }
-        }
-    }
-    // Venues b, c, d: 2 each — the queue now holds 8 == queue_capacity.
-    for venue in ["b", "c", "d"] {
-        for _ in 0..2 {
-            tickets.push(try_submit(&handle, venue, &scan).expect("fits under both caps"));
-        }
-    }
-    // Venue "e" has an empty sub-queue, but the *global* capacity is gone.
-    assert_eq!(try_submit(&handle, "e", &scan).unwrap_err(), ServeError::QueueFull);
-
-    let stats = server.stats();
-    assert_eq!(stats.rejected, 3, "aggregate rejected counts both shed causes");
-    assert_eq!(stats.enqueued, 8);
-    let a = stats.venue("a").expect("venue a tracked");
-    assert_eq!((a.shed_venue, a.shed_global), (2, 0));
-    let e = stats.venue("e").expect("venue e tracked");
-    assert_eq!((e.shed_venue, e.shed_global), (0, 1));
-    assert_eq!(e.enqueued, 0, "a shed is never counted as enqueued");
-
-    server.resume();
-    for rx in tickets {
-        rx.recv().expect("answered").expect("accepted request answered");
-    }
-    let stats = server.stats();
-    server.shutdown();
-    assert_eq!(stats.completed, 8);
-    assert_eq!(stats.queue_depth, 0);
-}
-
 /// Satellite 2: removing a venue from the registry while requests for it
 /// sit in the queue fails exactly those requests with a per-request
 /// `UnknownVenue` — no panic, no hung ticket — and other venues' queued
@@ -341,13 +206,7 @@ fn removing_a_venue_with_queued_requests_fails_them_per_request() {
     let (registry, scan) = registry_for(&venues, 45);
     let mut server = LocalizationServer::start_paused(
         Arc::clone(&registry),
-        ServerConfig {
-            max_batch: 8,
-            max_wait: Duration::ZERO,
-            queue_capacity: 16,
-            workers: 1,
-            ..ServerConfig::default()
-        },
+        ServerConfig { max_batch: 8, queue_capacity: 16, ..ServerConfig::default() },
     );
     let handle = server.handle();
 
@@ -390,13 +249,7 @@ fn exactly_k_shed_ledgers_agree_wire_vs_serve_across_thread_budgets() {
         with_threads(threads, || {
             let inner = LocalizationServer::start_paused(
                 Arc::clone(&registry),
-                ServerConfig {
-                    max_batch: 16,
-                    max_wait: Duration::ZERO,
-                    queue_capacity: CAPACITY,
-                    workers: 1,
-                    ..ServerConfig::default()
-                },
+                ServerConfig { max_batch: 16, queue_capacity: CAPACITY, ..ServerConfig::default() },
             );
             let mut server = NetServer::start_with(inner, "127.0.0.1:0").expect("bind");
             let mut client = NetClient::connect(server.local_addr()).expect("connect");
@@ -424,8 +277,7 @@ fn exactly_k_shed_ledgers_agree_wire_vs_serve_across_thread_budgets() {
             assert_eq!(serve.rejected as usize, SENT - CAPACITY, "threads={threads}");
             assert_eq!(serve.completed as usize, CAPACITY, "threads={threads}");
             let venue = serve.venue("office").expect("venue tracked");
-            assert_eq!(venue.shed_global as usize, SENT - CAPACITY, "threads={threads}");
-            assert_eq!(venue.shed_venue, 0, "threads={threads}");
+            assert_eq!(venue.shed as usize, SENT - CAPACITY, "threads={threads}");
             assert_eq!(venue.completed as usize, CAPACITY, "threads={threads}");
             assert_eq!(wire.shed as usize, SENT - CAPACITY, "threads={threads}");
             assert_eq!(wire.requests_decoded as usize, SENT, "threads={threads}");

@@ -4,7 +4,6 @@
 //! snapshot.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use stone::{KnnMode, StoneBuilder, StoneConfig, StoneLocalizer, TrainerConfig};
 use stone_dataset::{office_suite, Localizer, SuiteConfig};
@@ -48,15 +47,7 @@ fn concurrent_clients_coalesce_and_survive_warm_reload() {
 
     let mut server = LocalizationServer::start(
         Arc::clone(&registry),
-        ServerConfig {
-            max_batch: 16,
-            // A generous window so pipelined submissions coalesce reliably
-            // even on a loaded single-core CI machine.
-            max_wait: Duration::from_millis(50),
-            queue_capacity: 256,
-            workers: 1,
-            ..ServerConfig::default()
-        },
+        ServerConfig { max_batch: 16, queue_capacity: 256, ..ServerConfig::default() },
     );
     let v1 = registry.snapshot("office").expect("v1 published");
     assert_eq!(v1.version(), 1);

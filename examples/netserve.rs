@@ -82,17 +82,14 @@ fn main() {
         serve_stats.rejected,
         serve_stats.mean_batch_size(),
     );
-    // Per-venue scheduler breakdown: batch fattening and shed attribution
-    // under the venue-sharded drain.
+    // Per-venue scheduler breakdown: batch fattening and sheds under the
+    // venue-sharded drain.
     for v in &serve_stats.venues {
         println!(
-            "netserve:   {}: {} completed, {} shed (global {}, venue {}), mean batch {:.2}, \
-             p50 {}, p99 {}",
+            "netserve:   {}: {} completed, {} shed, mean batch {:.2}, p50 {}, p99 {}",
             v.venue,
             v.completed,
-            v.shed(),
-            v.shed_global,
-            v.shed_venue,
+            v.shed,
             v.mean_batch_size(),
             fmt_latency(v.p50()),
             fmt_latency(v.p99()),

@@ -17,7 +17,6 @@
 //! backend: AVX2 by default, portable under `STONE_NO_SIMD=1`.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -215,13 +214,7 @@ fn localization_server_batching_is_deterministic_across_thread_counts() {
         let answers: Vec<_> = with_threads(nt, || {
             let server = LocalizationServer::start(
                 Arc::clone(&registry),
-                ServerConfig {
-                    max_batch: 8,
-                    max_wait: Duration::from_millis(5),
-                    queue_capacity: 64,
-                    workers: 1,
-                    ..ServerConfig::default()
-                },
+                ServerConfig { max_batch: 8, queue_capacity: 64, ..ServerConfig::default() },
             );
             let handle = server.handle();
             let tickets: Vec<_> =
